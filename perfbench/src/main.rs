@@ -31,6 +31,7 @@
 //!   a six-mechanism what-if every fifth entry. The only workload that
 //!   uses the service API and the snapshot/restore codec.
 
+mod host;
 mod inputs;
 mod report;
 mod traced;

@@ -12,7 +12,7 @@ use hws_core::driver::{Ev, SimCore};
 use hws_core::mechanism::CupPlan;
 use hws_core::{
     standard_composition, AdmissionView, ArrivalPlan, ArrivalView, HooksHandle, MechanismHooks,
-    NoticeDecision, NoticeView, PredictionView, SimConfig, Simulator,
+    NoticeDecision, NoticeView, PredictionView, SimConfig,
 };
 use hws_metrics::{Metrics, Recorder};
 use hws_sim::{Engine, EngineStats, EventQueue, SimDuration, SimTime, Simulation};
@@ -174,6 +174,17 @@ impl HookClock {
             .sum()
     }
 
+    /// Run `f` and add its self time to `layer`: its wall time less the
+    /// hook time nested inside it, which the hooks' own layers report.
+    pub fn self_time<T>(&self, spans: &mut Spans, layer: Layer, f: impl FnOnce() -> T) -> T {
+        let hooks_before = self.total_ns();
+        let t = Instant::now();
+        let out = f();
+        let ns = ns_since(t);
+        spans.add(layer, ns.saturating_sub(self.total_ns() - hooks_before));
+        out
+    }
+
     /// Move the hook timings and counts into `spans`.
     pub fn drain_into(&self, spans: &mut Spans) {
         spans.admit_hook_calls += self.admit_calls.swap(0, Ordering::Relaxed);
@@ -314,11 +325,6 @@ impl Replay {
     }
 }
 
-/// Untraced batch replay of `trace`, as a user runs it.
-pub fn run_trace(cfg: &SimConfig, trace: &Trace) -> Replay {
-    Simulator::run_trace(cfg, trace).into()
-}
-
 /// Traced replay: the streaming recorder when `streaming` (as
 /// `Simulator::run_source` sets up), the retaining one otherwise (as
 /// `Simulator::run_trace`). Returns the replay and the spans of every
@@ -405,7 +411,7 @@ pub fn replay<S: JobSource>(cfg: &SimConfig, source: S, streaming: bool) -> (Rep
     (replay, spans)
 }
 
-/// Traced counterpart of [`run_trace`].
+/// Traced counterpart of `Simulator::run_trace`.
 pub fn replay_trace(cfg: &SimConfig, trace: &Trace) -> (Replay, Spans) {
     replay(cfg, MaterializedSource::new(trace), false)
 }
@@ -414,7 +420,7 @@ pub fn replay_trace(cfg: &SimConfig, trace: &Trace) -> (Replay, Spans) {
 mod tests {
     use super::*;
     use crate::inputs::sim_config;
-    use hws_core::Mechanism;
+    use hws_core::{Mechanism, Simulator};
     use hws_workload::TraceConfig;
 
     /// A traced replay must behave exactly like the untraced one, for all
@@ -428,7 +434,7 @@ mod tests {
         .generate(7);
         for m in Mechanism::ALL_SIX {
             let cfg = sim_config(m);
-            let untraced = run_trace(&cfg, &trace);
+            let untraced: Replay = Simulator::run_trace(&cfg, &trace).into();
             let (traced, spans) = replay_trace(&cfg, &trace);
             assert!(
                 traced.same_behaviour(&untraced),

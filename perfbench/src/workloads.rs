@@ -1,12 +1,13 @@
 //! The three workloads, each runnable untraced (end-to-end metrics) or
 //! traced (per-layer metrics).
 //!
-//! A run sets up its input several times (the median is `setup_s`), then
-//! repeats one fixed unit of work — a *pass* — for the requested seconds.
-//! A pass is timed in segments (a batch replay cell or a stretch of a
-//! streamed one, or a slice of the service log) and `jobs_per_s` is the
-//! pass's throughput with the host in its fast state: see
-//! [`fast_state_total`]. Latencies are percentiles over every sample.
+//! A run sets up its input several times, then repeats one fixed unit of
+//! work — a *pass* — for the requested seconds, setting up again between
+//! passes. The host's speed is sampled between replays (see
+//! [`crate::host`]): `jobs_per_s` is the median over passes of each pass's
+//! throughput scaled by the samples taken during it, and `setup_s` the
+//! median set-up time scaled by the run's samples. Latencies are unscaled
+//! percentiles over every sample.
 //! Simulated metrics come from the first pass, and every later pass must
 //! reproduce its fingerprints exactly. Correctness checks run after the
 //! timed passes.
@@ -17,6 +18,7 @@
 //! The benchmark seed instead orders the replay cells of a batch pass and
 //! sets the work of the service's what-if probe.
 
+use crate::host::{splitmix, HostSpeed, NOMINAL_S};
 use crate::inputs::{
     archive_trace, paper_year_trace, service_import, sim_config, ARCHIVE_SEED, PAPER_YEAR_SEEDS,
     SERVICE_SWF,
@@ -27,8 +29,8 @@ use hws_core::{Mechanism, SchedulerService, SimConfig, Simulator};
 use hws_sim::{SimDuration, SimTime};
 use hws_workload::job::JobSpecBuilder;
 use hws_workload::{
-    import_swf, import_swf_reader, to_swf_writer, JobSource, JobSpec, MaterializedSource,
-    SubmissionLog, SubmitOp, SwfExportConfig, SwfImportConfig, SwfStreamSource, Trace,
+    import_swf, import_swf_reader, to_swf_writer, JobSpec, MaterializedSource, SubmissionLog,
+    SubmitOp, SwfExportConfig, SwfImportConfig, SwfStreamSource, Trace,
 };
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -36,9 +38,9 @@ use std::time::{Duration, Instant};
 
 /// Set-up runs at least [`SETUP_MIN_REPS`] times and for [`SETUP_MIN_SECS`]
 /// before the first pass, then again for [`SETUP_PASS_SECS`] before every
-/// later pass, so that the median (`setup_s`) spans the whole run rather
-/// than one moment of a host whose speed drifts. At most
-/// [`SETUP_MAX_REPS`] repetitions at a time.
+/// later pass, so that its samples span the whole run rather than one
+/// moment of a host whose speed drifts. At most [`SETUP_MAX_REPS`]
+/// repetitions at a time.
 const SETUP_MIN_REPS: usize = 5;
 const SETUP_MIN_SECS: f64 = 0.5;
 const SETUP_PASS_SECS: f64 = 0.05;
@@ -47,10 +49,8 @@ const SETUP_MAX_REPS: usize = 200;
 const WHAT_IF_EVERY: usize = 5;
 /// Repeated `query` calls per timed batch in the traced service run.
 const QUERY_BATCH: u32 = 16;
-/// The service loop is timed in this many slices of the log.
-const SERVICE_SEGMENTS: usize = 100;
-/// A streamed replay is timed in segments of this many jobs.
-const PROGRESS_EVERY: u64 = 1_024;
+/// Host-speed samples per service pass, evenly spread over the log.
+const HOST_SAMPLES_PER_PASS: usize = 10;
 /// Probe ids sit far above any log id.
 const PROBE_ID_BASE: u64 = 1 << 40;
 /// The mechanism the live service runs.
@@ -132,20 +132,44 @@ fn for_budget(budget: Duration, mut between: impl FnMut(), mut pass: impl FnMut(
 }
 
 /// Run `f` and report the resident-set watermark it reached (MiB), or
-/// `None` where procfs cannot. Only a run's first pass is measured: later
-/// passes follow repeated set-up, whose freed memory the allocator keeps.
+/// `None` where procfs cannot. The watermark restarts from the memory the
+/// set-up product holds: what earlier set-ups freed is first handed back
+/// to the OS, so that `f` cannot reuse it unseen. A run measures its
+/// first pass only.
 fn with_peak_rss<R>(f: impl FnOnce() -> R) -> (R, Option<f64>) {
+    release_freed_memory();
     let reset = reset_peak_rss();
+    let base = proc_status_mb("VmRSS:");
     let r = f();
-    (r, peak_rss_mb().filter(|_| reset))
+    let peak = proc_status_mb("VmHWM:").filter(|_| reset);
+    if let (Some(base), Some(peak)) = (base, peak) {
+        println!("  peak RSS {peak:.1} MiB over the first pass, from {base:.1} MiB at its start");
+    }
+    (r, peak)
 }
 
-/// Peak resident set size (MiB) since the last [`reset_peak_rss`].
-fn peak_rss_mb() -> Option<f64> {
+/// A `/proc/self/status` size field, in MiB.
+fn proc_status_mb(field: &str) -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb / 1024.0)
+}
+
+/// Hand the heap's free pages back to the OS (glibc only; elsewhere a
+/// no-op).
+fn release_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: malloc_trim takes no pointers; it only returns free heap
+        // memory to the OS and is safe to call at any time.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
 }
 
 /// Restart the peak-RSS watermark at the current RSS.
@@ -196,20 +220,20 @@ impl BatchInput {
             .collect()
     }
 
-    /// Untraced replay of one cell, with its wall time in segments: one
-    /// per [`PROGRESS_EVERY`] streamed jobs, or the whole replay call.
-    fn replay(&self, m: Mechanism, i: usize) -> (Replay, Vec<f64>) {
+    /// Untraced replay of one cell, with the wall time of the replay call.
+    fn replay(&self, m: Mechanism, i: usize) -> (Replay, f64) {
         let cfg = sim_config(m);
         match self {
             BatchInput::Archive(path) => {
-                let mut source = Progress::new(open(path));
-                let r = Simulator::run_source(&cfg, &mut source).into();
-                (r, source.finish())
+                let source = open(path);
+                let start = Instant::now();
+                let r = Simulator::run_source(&cfg, source).into();
+                (r, start.elapsed().as_secs_f64())
             }
             BatchInput::Traces(t) => {
                 let start = Instant::now();
-                let r = traced::run_trace(&cfg, &t[i]);
-                (r, vec![start.elapsed().as_secs_f64()])
+                let r = Simulator::run_trace(&cfg, &t[i]).into();
+                (r, start.elapsed().as_secs_f64())
             }
         }
     }
@@ -220,50 +244,6 @@ impl BatchInput {
             BatchInput::Archive(path) => traced::replay(&cfg, open(path), true),
             BatchInput::Traces(t) => traced::replay_trace(&cfg, &t[i]),
         }
-    }
-}
-
-/// A job source that notes the time after every [`PROGRESS_EVERY`]th job
-/// it yields: one clock read per few thousand jobs, so a streamed replay
-/// is timed in short segments at no measurable cost.
-struct Progress<S> {
-    inner: S,
-    yielded: u64,
-    marks: Vec<Instant>,
-}
-
-impl<S: JobSource> Progress<S> {
-    fn new(inner: S) -> Self {
-        Progress {
-            inner,
-            yielded: 0,
-            marks: vec![Instant::now()],
-        }
-    }
-
-    /// Seconds between consecutive marks, the last ending now.
-    fn finish(mut self) -> Vec<f64> {
-        self.marks.push(Instant::now());
-        self.marks
-            .windows(2)
-            .map(|w| (w[1] - w[0]).as_secs_f64())
-            .collect()
-    }
-}
-
-impl<S: JobSource> JobSource for Progress<S> {
-    fn system_size(&self) -> u32 {
-        self.inner.system_size()
-    }
-    fn max_notice_lead(&self) -> SimDuration {
-        self.inner.max_notice_lead()
-    }
-    fn next_job(&mut self) -> Option<JobSpec> {
-        self.yielded += 1;
-        if self.yielded.is_multiple_of(PROGRESS_EVERY) {
-            self.marks.push(Instant::now());
-        }
-        self.inner.next_job()
     }
 }
 
@@ -305,12 +285,12 @@ fn check_sane(out: &mut Outcome, r: &Replay, label: &str) {
 fn push_end_to_end(
     out: &mut Outcome,
     jobs_per_s: f64,
-    setup: &[f64],
+    setup_s: f64,
     peak_rss_mb: Option<f64>,
     replays: &[&Replay],
 ) {
     out.metrics.push(("jobs_per_s", jobs_per_s));
-    out.metrics.push(("setup_s", median(setup)));
+    out.metrics.push(("setup_s", setup_s));
     if let Some(p) = peak_rss_mb {
         out.metrics.push(("peak_rss_mb", p));
     }
@@ -368,51 +348,6 @@ fn print_fingerprints(cells: &[(Mechanism, usize)], replays: &[Replay]) {
     }
 }
 
-/// The share of timed work taken as the host's fast state.
-const FAST_STATE_SHARE: f64 = 0.1;
-
-/// Time of one pass with the host in its fast state, from
-/// `times[pass][segment]`: the sum of each segment's median time, scaled by
-/// the [`FAST_STATE_SHARE`] quantile of every sample's ratio to its
-/// segment's median, each sample weighted by that median.
-///
-/// The work is deterministic and single-threaded, so a segment's time
-/// varies only with the host. On a shared two-vCPU cloud host even a pure
-/// compute loop drifted by a quarter over seconds to minutes, while the
-/// host's fastest state held within a few percent; pooling the ratios of
-/// all segments finds that state whenever a tenth of the work ran in it,
-/// so one run's figure stays steady across runs. A run spent wholly in a
-/// slow spell still reads slow.
-fn fast_state_total(times: &[Vec<f64>]) -> f64 {
-    let medians: Vec<f64> = (0..times[0].len())
-        .map(|s| median(&times.iter().map(|p| p[s]).collect::<Vec<_>>()))
-        .collect();
-    let mut ratios: Vec<(f64, f64)> = times
-        .iter()
-        .flat_map(|p| p.iter().zip(&medians).map(|(t, m)| (t / m, *m)))
-        .collect();
-    ratios.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let total: f64 = medians.iter().sum();
-    let target = FAST_STATE_SHARE * total * times.len() as f64;
-    let mut weight = 0.0;
-    let factor = ratios
-        .iter()
-        .find(|(_, m)| {
-            weight += m;
-            weight >= target
-        })
-        .map_or(1.0, |r| r.0);
-    factor * total
-}
-
-/// The `k`th value of the splitmix64 sequence seeded with `seed`.
-fn splitmix(seed: u64, k: u64) -> u64 {
-    let mut z = seed.wrapping_add(k.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A permutation of `0..n` drawn from `seed` (Fisher-Yates).
 fn shuffled(n: usize, seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
@@ -423,27 +358,25 @@ fn shuffled(n: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Replay every cell once, in `order`; results in cell order and the
-/// cells' timed segments concatenated in cell order.
+/// summed replay time.
 fn batch_pass<R>(
     cells: &[(Mechanism, usize)],
     order: &[usize],
-    mut f: impl FnMut(Mechanism, usize) -> (R, Vec<f64>),
-) -> (Vec<R>, Vec<f64>) {
-    let mut results: Vec<Option<(R, Vec<f64>)>> = cells.iter().map(|_| None).collect();
+    mut f: impl FnMut(Mechanism, usize) -> (R, f64),
+) -> (Vec<R>, f64) {
+    let mut results: Vec<Option<R>> = cells.iter().map(|_| None).collect();
+    let mut secs = 0.0;
     for &k in order {
         let (m, i) = cells[k];
-        results[k] = Some(f(m, i));
+        let (r, s) = f(m, i);
+        results[k] = Some(r);
+        secs += s;
     }
-    let mut segments = Vec::new();
     let results = results
         .into_iter()
-        .map(|r| {
-            let (r, secs) = r.expect("every cell ran");
-            segments.extend(secs);
-            r
-        })
+        .map(|r| r.expect("every cell ran"))
         .collect();
-    (results, segments)
+    (results, secs)
 }
 
 fn batch_run(workload: Workload, seed: u64, budget: Duration, out: &mut Outcome) {
@@ -453,14 +386,22 @@ fn batch_run(workload: Workload, seed: u64, budget: Duration, out: &mut Outcome)
     let cells = input.cells();
     let order = shuffled(cells.len(), seed);
     let mut peak = None;
-    let mut times: Vec<Vec<f64>> = Vec::new();
+    let mut run_host = HostSpeed::default();
+    let mut pass_secs = Vec::new();
     let mut first: Vec<Replay> = Vec::new();
     let mut later: Vec<Vec<Replay>> = Vec::new();
     for_budget(
         budget,
         || drop(timed_setup(&mut setup, 1, SETUP_PASS_SECS, set_up)),
         || {
-            let pass = || batch_pass(&cells, &order, |m, i| input.replay(m, i));
+            let mut host = HostSpeed::default();
+            let mut pass = || {
+                batch_pass(&cells, &order, |m, i| {
+                    let replay = input.replay(m, i);
+                    host.sample();
+                    replay
+                })
+            };
             let (pass, secs) = if first.is_empty() {
                 let (pass, rss) = with_peak_rss(pass);
                 peak = rss;
@@ -468,7 +409,8 @@ fn batch_run(workload: Workload, seed: u64, budget: Duration, out: &mut Outcome)
             } else {
                 pass()
             };
-            times.push(secs);
+            pass_secs.push((secs, host.scale(secs)));
+            run_host.extend(&host);
             if first.is_empty() {
                 first = pass;
             } else {
@@ -500,7 +442,7 @@ fn batch_run(workload: Workload, seed: u64, budget: Duration, out: &mut Outcome)
             let trace =
                 import_swf_reader(std::io::BufReader::new(file), &SwfImportConfig::default())
                     .expect("archive imports");
-            traced::run_trace(&sim_config(m), &trace)
+            Simulator::run_trace(&sim_config(m), &trace).into()
         }
         BatchInput::Traces(t) => {
             Simulator::run_source(&sim_config(m), MaterializedSource::new(&t[0])).into()
@@ -517,20 +459,31 @@ fn batch_run(workload: Workload, seed: u64, budget: Duration, out: &mut Outcome)
 
     print_fingerprints(&cells, &first);
     let jobs: u64 = first.iter().map(|r| r.admitted_jobs).sum();
-    let rate = jobs as f64 / fast_state_total(&times);
-    let pass_rates: Vec<f64> = times
-        .iter()
-        .map(|t| jobs as f64 / t.iter().sum::<f64>())
-        .collect();
-    println!(
-        "  {:<28} n={:<6} {rate:.0} jobs/s in the fast state; per pass {:.0?}",
-        "replay rate",
-        times.len(),
-        pass_rates
-    );
-    println!("{}", timing_line("set-up", "s", &setup));
+    let rate = print_rate("replay rate", jobs, &pass_secs, &run_host);
+    let setup_s = run_host.scale(median(&setup));
+    print_setup(&setup, setup_s);
 
-    push_end_to_end(out, rate, &setup, peak, &first.iter().collect::<Vec<_>>());
+    push_end_to_end(out, rate, setup_s, peak, &first.iter().collect::<Vec<_>>());
+}
+
+/// The median over passes of `jobs` ÷ each pass's `(unscaled, scaled)`
+/// time, printed with the unscaled rates and the host samples `host`.
+fn print_rate(label: &str, jobs: u64, pass_secs: &[(f64, f64)], host: &HostSpeed) -> f64 {
+    let scaled: Vec<f64> = pass_secs.iter().map(|p| p.1).collect();
+    let rate = jobs as f64 / median(&scaled);
+    let unscaled: Vec<f64> = pass_secs.iter().map(|p| jobs as f64 / p.0).collect();
+    println!(
+        "  {label:<28} n={:<6} {rate:.0} jobs/s on the nominal host; unscaled per pass {unscaled:.0?}",
+        pass_secs.len()
+    );
+    println!(
+        "  {:<28} n={:<6} {:.4} ms a kernel run (nominal {:.4} ms)",
+        "host reference",
+        host.samples(),
+        host.kernel_s() * 1e3,
+        NOMINAL_S * 1e3
+    );
+    rate
 }
 
 fn batch_traced(workload: Workload, seed: u64, budget: Duration, out: &mut Outcome) {
@@ -540,8 +493,10 @@ fn batch_traced(workload: Workload, seed: u64, budget: Duration, out: &mut Outco
     });
     let cells = input.cells();
     let order = shuffled(cells.len(), seed);
-    let mut plain_times = Vec::new();
-    let mut traced_times: Vec<Vec<f64>> = Vec::new();
+    let mut host = HostSpeed::default();
+    // Traced over untraced time of each pass, and the traced time in all.
+    let mut ratios = Vec::new();
+    let mut traced_secs = 0.0;
     let mut spans = Spans::default();
     let mut counts: Option<(Vec<Replay>, u64, u64)> = None;
     let mut matched = 0u64;
@@ -549,11 +504,11 @@ fn batch_traced(workload: Workload, seed: u64, budget: Duration, out: &mut Outco
         budget,
         || {},
         || {
-            let (plain, secs) = batch_pass(&cells, &order, |m, i| {
-                let (r, secs) = input.replay(m, i);
-                (r, vec![secs.iter().sum()])
+            let (plain, plain_secs) = batch_pass(&cells, &order, |m, i| {
+                let replay = input.replay(m, i);
+                host.sample();
+                replay
             });
-            plain_times.push(secs);
 
             let mut pass_spans = Spans::default();
             let (traced, secs) = batch_pass(&cells, &order, |m, i| {
@@ -561,9 +516,10 @@ fn batch_traced(workload: Workload, seed: u64, budget: Duration, out: &mut Outco
                 let (r, s) = input.replay_traced(m, i);
                 let secs = start.elapsed().as_secs_f64();
                 pass_spans.merge(&s);
-                (r, vec![secs])
+                (r, secs)
             });
-            traced_times.push(secs);
+            ratios.push(secs / plain_secs);
+            traced_secs += secs;
             for ((m, i), (a, b)) in cells.iter().zip(plain.iter().zip(&traced)) {
                 let same = a.same_behaviour(b);
                 matched += u64::from(same);
@@ -583,10 +539,10 @@ fn batch_traced(workload: Workload, seed: u64, budget: Duration, out: &mut Outco
         },
     );
     let (replays, passes, admit_calls) = counts.expect("at least one pass");
-    let wall_ns = traced_times.iter().flatten().sum::<f64>() * 1e9;
-    let overhead = 100.0 * (fast_state_total(&traced_times) / fast_state_total(&plain_times) - 1.0);
+    let overhead = 100.0 * (median(&ratios) - 1.0);
     print_fingerprints(&cells, &replays);
-    report_layers(out, &spans, wall_ns, median(&setup), overhead, matched);
+    let setup_s = host.scale(median(&setup));
+    report_layers(out, &spans, traced_secs * 1e9, setup_s, overhead, matched);
     let sum = |f: fn(&Replay) -> u64| replays.iter().map(f).sum::<u64>() as f64;
     out.metrics.extend([
         ("sim.events_delivered", sum(|r| r.engine.delivered)),
@@ -604,6 +560,13 @@ fn batch_traced(workload: Workload, seed: u64, budget: Duration, out: &mut Outco
         ),
         ("service.snapshot_bytes", 0.0),
     ]);
+}
+
+fn print_setup(setup: &[f64], scaled: f64) {
+    println!(
+        "{}; median {scaled:.6} s on the nominal host",
+        timing_line("set-up", "s", setup)
+    );
 }
 
 /// Print the per-layer table and push every layer share, with the set-up
@@ -688,10 +651,12 @@ type Forecast = std::collections::BTreeMap<Mechanism, SimTime>;
 struct ServicePass {
     replay: Replay,
     forecasts: Vec<Forecast>,
-    /// Wall time of each of [`SERVICE_SEGMENTS`] consecutive slices of the
-    /// log, then of the final drain, less the calls only a traced pass
-    /// makes to time a what-if's parts.
-    segments: Vec<f64>,
+    /// Wall time of the pass, less the calls made only to measure: host
+    /// samples, and in a traced pass the separately timed parts of each
+    /// what-if and the repeats of each query.
+    secs: f64,
+    /// Host samples taken during the pass.
+    host: HostSpeed,
     /// Log submissions applied.
     submits: u64,
 }
@@ -704,6 +669,9 @@ enum Timers<'a> {
     },
     Traced {
         spans: &'a mut Spans,
+        /// The hooks' clock, so that hook time nested in a service call is
+        /// left to the hooks' own layers.
+        clock: &'a HookClock,
         snapshot_bytes: &'a mut u64,
         /// Whole what-if calls; their drain is this less the snapshot and
         /// restore spans, taken over all probes because one probe's
@@ -723,14 +691,11 @@ fn service_pass(
     let mut svc = SchedulerService::new(cfg.clone(), input.log.system_size());
     let mut forecasts = Vec::new();
     let mut submits = 0;
-    let mut calibration_ns = 0;
+    let mut host = HostSpeed::default();
+    let mut measuring_ns = 0;
     let start = Instant::now();
-    let net_secs =
-        |calibration_ns: u64| start.elapsed().as_secs_f64() - calibration_ns as f64 / 1e9;
-    let mut segments = Vec::with_capacity(SERVICE_SEGMENTS + 1);
-    let mut mark = 0.0;
     let entries = input.log.entries();
-    let slice = entries.len().div_ceil(SERVICE_SEGMENTS);
+    let sample_every = entries.len().div_ceil(HOST_SAMPLES_PER_PASS);
     for (i, entry) in entries.iter().enumerate() {
         let op = entry.op.clone();
         match &mut timers {
@@ -741,24 +706,20 @@ fn service_pass(
                 op_us.push(t.elapsed().as_secs_f64() * 1e6);
                 out.check(ok, "log submission accepted");
             }
-            Timers::Traced { spans, .. } => {
-                let t = Instant::now();
-                svc.step_before(entry.at);
-                spans.add(Layer::StepBefore, ns_since(t));
+            Timers::Traced { spans, clock, .. } => {
+                clock.self_time(spans, Layer::StepBefore, || svc.step_before(entry.at));
                 let id = match &op {
                     SubmitOp::Submit(spec) => Some(spec.id),
                     SubmitOp::Cancel(_) => None,
                 };
-                let t = Instant::now();
-                let ok = apply_op(&mut svc, op);
-                spans.add(Layer::Submit, ns_since(t));
+                let ok = clock.self_time(spans, Layer::Submit, || apply_op(&mut svc, op));
                 if let Some(id) = id {
                     let t = Instant::now();
                     for _ in 0..QUERY_BATCH {
                         black_box(svc.query(black_box(id)));
                     }
                     spans.add(Layer::Query, ns_since(t) / u64::from(QUERY_BATCH));
-                    calibration_ns +=
+                    measuring_ns +=
                         ns_since(t) * u64::from(QUERY_BATCH - 1) / u64::from(QUERY_BATCH);
                 }
                 out.check(ok, "log submission accepted");
@@ -780,6 +741,7 @@ fn service_pass(
                     spans,
                     snapshot_bytes,
                     what_if_ns,
+                    ..
                 } => {
                     // Time the what-if's parts as separate calls, then the
                     // what-if itself; its drain is the remainder.
@@ -797,7 +759,7 @@ fn service_pass(
                         restore_ns += ns_since(t);
                         out.check(fork.is_ok(), "snapshot restores");
                     }
-                    calibration_ns += ns_since(cal);
+                    measuring_ns += ns_since(cal);
                     let t = Instant::now();
                     let f = svc.what_if(&spec);
                     **what_if_ns += ns_since(t);
@@ -815,18 +777,18 @@ fn service_pass(
             );
             forecasts.push(forecast.unwrap_or_default());
         }
-        if (i + 1) % slice == 0 || i + 1 == entries.len() {
-            let now = net_secs(calibration_ns);
-            segments.push(now - mark);
-            mark = now;
+        if (i + 1) % sample_every == 0 {
+            let t = Instant::now();
+            host.sample();
+            measuring_ns += ns_since(t);
         }
     }
     let replay: Replay = svc.into_outcome().into();
-    segments.push(net_secs(calibration_ns) - mark);
     ServicePass {
         replay,
         forecasts,
-        segments,
+        secs: start.elapsed().as_secs_f64() - measuring_ns as f64 / 1e9,
+        host,
         submits,
     }
 }
@@ -856,7 +818,7 @@ fn apply_op(svc: &mut SchedulerService, op: SubmitOp) -> bool {
 
 /// Live must equal batch, and every pass must repeat the first.
 fn check_service(out: &mut Outcome, input: &ServiceInput, passes: &[ServicePass]) {
-    let batch = traced::run_trace(&sim_config(SERVICE_MECHANISM), &input.trace);
+    let batch: Replay = Simulator::run_trace(&sim_config(SERVICE_MECHANISM), &input.trace).into();
     let first = &passes[0];
     out.check(
         fingerprint(&first.replay.metrics) == fingerprint(&batch.metrics)
@@ -908,27 +870,24 @@ fn service(seed: u64, budget: Duration, out: &mut Outcome) {
     );
     check_service(out, &input, &passes);
 
-    let submits = passes[0].submits as f64;
-    let times: Vec<Vec<f64>> = passes.iter().map(|p| p.segments.clone()).collect();
-    let rate = submits / fast_state_total(&times);
-    let pass_rates: Vec<f64> = times
-        .iter()
-        .map(|t| submits / t.iter().sum::<f64>())
-        .collect();
     println!("{}", timing_line("op (step_before+op+query)", "us", &op_us));
     println!(
         "{}",
         timing_line("what_if (six mechanisms)", "ms", &what_if_ms)
     );
-    println!(
-        "  {:<28} n={:<6} {rate:.0} jobs/s in the fast state; per pass {:.0?}",
-        "closed-loop rate",
-        passes.len(),
-        pass_rates
-    );
-    println!("{}", timing_line("set-up", "s", &setup));
+    let mut run_host = HostSpeed::default();
+    let pass_secs: Vec<(f64, f64)> = passes
+        .iter()
+        .map(|p| {
+            run_host.extend(&p.host);
+            (p.secs, p.host.scale(p.secs))
+        })
+        .collect();
+    let rate = print_rate("closed-loop rate", passes[0].submits, &pass_secs, &run_host);
+    let setup_s = run_host.scale(median(&setup));
+    print_setup(&setup, setup_s);
 
-    push_end_to_end(out, rate, &setup, peak, &[&passes[0].replay]);
+    push_end_to_end(out, rate, setup_s, peak, &[&passes[0].replay]);
 }
 
 fn service_traced(seed: u64, budget: Duration, out: &mut Outcome) {
@@ -942,7 +901,10 @@ fn service_traced(seed: u64, budget: Duration, out: &mut Outcome) {
     let mut spans = Spans::default();
     let mut snapshot_bytes = 0;
     let mut what_if_ns = 0;
-    let mut traced_times = Vec::new();
+    let mut host = HostSpeed::default();
+    // Traced over untraced time of each pass, and the traced time in all.
+    let mut ratios = Vec::new();
+    let mut traced_secs = 0.0;
     let mut plain_passes: Vec<ServicePass> = Vec::new();
     let mut matched = 0;
     let mut first_traced: Option<Replay> = None;
@@ -958,11 +920,14 @@ fn service_traced(seed: u64, budget: Duration, out: &mut Outcome) {
             let plain = service_pass(&input, &cfg, out, timers);
             let timers = Timers::Traced {
                 spans: &mut spans,
+                clock: &clock,
                 snapshot_bytes: &mut snapshot_bytes,
                 what_if_ns: &mut what_if_ns,
             };
             let traced = service_pass(&input, &timed_cfg, out, timers);
-            traced_times.push(traced.segments);
+            ratios.push(traced.secs / plain.secs);
+            traced_secs += traced.secs;
+            host.extend(&plain.host);
             let same =
                 traced.replay.same_behaviour(&plain.replay) && traced.forecasts == plain.forecasts;
             matched += u64::from(same);
@@ -979,12 +944,11 @@ fn service_traced(seed: u64, budget: Duration, out: &mut Outcome) {
         spans.calls(Layer::Snapshot),
     );
     check_service(out, &input, &plain_passes);
-    let plain_times: Vec<Vec<f64>> = plain_passes.iter().map(|p| p.segments.clone()).collect();
-    let wall_ns = traced_times.iter().flatten().sum::<f64>() * 1e9;
-    let overhead = 100.0 * (fast_state_total(&traced_times) / fast_state_total(&plain_times) - 1.0);
-    report_layers(out, &spans, wall_ns, median(&setup), overhead, matched);
+    let overhead = 100.0 * (median(&ratios) - 1.0);
+    let setup_s = host.scale(median(&setup));
+    report_layers(out, &spans, traced_secs * 1e9, setup_s, overhead, matched);
     let r = first_traced.expect("at least one pass");
-    let passes = traced_times.len() as u64;
+    let passes = ratios.len() as u64;
     out.metrics.extend([
         ("sim.events_delivered", r.engine.delivered as f64),
         ("sim.events_scheduled", r.engine.scheduled as f64),
