@@ -84,10 +84,11 @@ pub trait ClusterBackend: std::fmt::Debug + Send {
     fn max_job_size(&self) -> u32;
 
     /// Register workload metadata for one job before any placement query
-    /// about it. Batch drivers call this for every job up front; the live
-    /// scheduler service calls it per `submit`. Idempotent — re-noting a
-    /// known job keeps the first registration. A single cluster has no
-    /// routing decisions to inform, so the default is a no-op.
+    /// about it. The driver calls this as it injects each job, in batch
+    /// replay and in the live scheduler service alike. Idempotent —
+    /// re-noting a known job keeps the first registration. A single
+    /// cluster has no routing decisions to inform, so the default is a
+    /// no-op.
     fn note_job(&mut self, _spec: &JobSpec) {}
 
     // ------------------------------------------------------------------

@@ -226,8 +226,8 @@ pub struct Federation {
     policy: Arc<dyn PlacementPolicy>,
     /// Sticky job → shard assignment (first contact pins it).
     home: HashMap<JobId, usize>,
-    /// Trace-wide job metadata registered at construction, so routing
-    /// decisions need no driver-side plumbing.
+    /// Job metadata registered through [`ClusterBackend::note_job`] as
+    /// jobs arrive, so routing decisions need no driver-side plumbing.
     meta: HashMap<JobId, JobMeta>,
     max_shard: u32,
     /// Total capacity fixed at construction; `check_invariants` verifies
@@ -236,10 +236,10 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Build a federation for a trace. Panics unless the shard sizes sum
-    /// to exactly `system_size` — federation experiments compare against
-    /// the single-cluster run at the *same* total capacity.
-    pub fn new(cfg: &FederationConfig, system_size: u32, jobs: &[JobSpec]) -> Self {
+    /// Build a federation of `system_size` nodes. Panics unless the shard
+    /// sizes sum to exactly `system_size` — federation experiments compare
+    /// against the single-cluster run at the *same* total capacity.
+    pub fn new(cfg: &FederationConfig, system_size: u32) -> Self {
         assert!(
             !cfg.shards.is_empty(),
             "federation needs at least one shard"
@@ -249,25 +249,12 @@ impl Federation {
             system_size,
             "federation shards must sum to the trace's system size"
         );
-        let meta = jobs
-            .iter()
-            .map(|s| {
-                (
-                    s.id,
-                    JobMeta {
-                        kind: s.kind,
-                        size: s.size,
-                        site_hint: s.site_hint,
-                    },
-                )
-            })
-            .collect();
         Federation {
             shards: cfg.shards.iter().map(|s| Cluster::new(s.nodes)).collect(),
             names: cfg.shards.iter().map(|s| s.name.clone()).collect(),
             policy: Arc::clone(&cfg.policy),
             home: HashMap::new(),
-            meta,
+            meta: HashMap::new(),
             max_shard: cfg.shards.iter().map(|s| s.nodes).max().unwrap_or(0),
             configured_total: system_size,
         }
@@ -866,7 +853,15 @@ mod tests {
     }
 
     fn fed(n: usize, total: u32, jobs: &[JobSpec]) -> Federation {
-        Federation::new(&FederationConfig::even_split(n, total), total, jobs)
+        noted(&FederationConfig::even_split(n, total), total, jobs)
+    }
+
+    fn noted(cfg: &FederationConfig, total: u32, jobs: &[JobSpec]) -> Federation {
+        let mut f = Federation::new(cfg, total);
+        for spec in jobs {
+            f.note_job(spec);
+        }
+        f
     }
 
     #[test]
@@ -964,7 +959,7 @@ mod tests {
     fn least_loaded_spreads_jobs() {
         let jobs = [spec(1, JobKind::Rigid, 4), spec(2, JobKind::Rigid, 4)];
         let cfg = FederationConfig::even_split(2, 16).with_policy(LeastLoaded);
-        let mut f = Federation::new(&cfg, 16, &jobs);
+        let mut f = noted(&cfg, 16, &jobs);
         assert!(f.try_allocate_with_reserved(j(1), 4));
         assert!(f.try_allocate_with_reserved(j(2), 4));
         assert_ne!(f.home_of(j(1)), f.home_of(j(2)));
@@ -979,7 +974,7 @@ mod tests {
             spec(3, JobKind::Malleable, 2),
         ];
         let cfg = FederationConfig::even_split(3, 12).with_policy(ClassAffinity);
-        let mut f = Federation::new(&cfg, 12, &jobs);
+        let mut f = noted(&cfg, 12, &jobs);
         assert!(f.try_allocate_with_reserved(j(1), 2));
         assert!(f.try_allocate_with_reserved(j(2), 2));
         assert!(f.try_allocate_with_reserved(j(3), 2));

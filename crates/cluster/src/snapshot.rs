@@ -437,7 +437,10 @@ mod tests {
     fn federation_snapshot_round_trips_and_continues_identically() {
         let cfg = FederationConfig::even_split(2, 24);
         let specs = sample_specs();
-        let mut f = Federation::new(&cfg, 24, &specs);
+        let mut f = Federation::new(&cfg, 24);
+        for spec in &specs {
+            f.note_job(spec);
+        }
         assert!(f.try_allocate_with_reserved(j(1), 4));
         assert_eq!(ClusterBackend::reserve(&mut f, j(9), 5), 5);
         f.try_allocate_backfill(j(2), 6, &mut |_| true)
@@ -471,7 +474,7 @@ mod tests {
     #[test]
     fn federation_restore_rejects_mismatched_config() {
         let cfg = FederationConfig::even_split(2, 24);
-        let f = Federation::new(&cfg, 24, &[]);
+        let f = Federation::new(&cfg, 24);
         let mut w = SnapWriter::new();
         f.snapshot(&mut w);
         let bytes = w.into_bytes();
@@ -500,7 +503,7 @@ mod tests {
         use hws_workload::job::JobSpecBuilder;
         let cfg = FederationConfig::even_split(2, 24);
         // Built with no jobs at all: the live-service path.
-        let mut f = Federation::new(&cfg, 24, &[]);
+        let mut f = Federation::new(&cfg, 24);
         let hinted = JobSpecBuilder::rigid(5).size(2).site_hint(1).build();
         f.note_job(&hinted);
         assert!(f.try_allocate_with_reserved(j(5), 2));

@@ -298,6 +298,12 @@ impl<B: ClusterBackend> SimCore<B> {
         !self.cfg.mechanism.is_baseline()
     }
 
+    /// Whether the arrival pump schedules `Ev::Notice` for noticed jobs:
+    /// only hybrid mechanisms whose hooks act on notices ever handle one.
+    pub(super) fn schedules_notices(&self) -> bool {
+        self.hybrid() && self.hooks.uses_notices()
+    }
+
     /// Request a scheduling pass at `now`. Same-tick requests coalesce:
     /// the first request schedules one `Ev::Pass` (which, carrying the
     /// latest dynamic sequence number, is delivered *after* every

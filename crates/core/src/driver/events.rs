@@ -116,8 +116,7 @@ impl<B: ClusterBackend> Simulation for SimCore<B> {
                 }
             }
             Ev::Notice(j) => {
-                if self.hybrid()
-                    && self.hooks.uses_notices()
+                if self.schedules_notices()
                     && self
                         .st_if_live(j)
                         .is_some_and(|st| st.status == Status::Announced)

@@ -51,9 +51,9 @@ pub use service::{replay_submission_log, CancelOutcome, JobStatus, SchedulerServ
 
 use crate::config::{Mechanism, SimConfig};
 use crate::timeline::Timeline;
-use hws_cluster::{Cluster, ClusterBackend, Federation};
+use hws_cluster::{Federation, SnapshotBackend};
 use hws_metrics::{ClassBreakdown, Metrics, OutageReport, Recorder, ShardStat};
-use hws_sim::{Engine, EngineStats};
+use hws_sim::EngineStats;
 use hws_workload::{JobSource, MaterializedSource, Trace, TraceConfig};
 
 /// Result of one simulation run.
@@ -95,19 +95,7 @@ impl Simulator {
     /// single cluster, or — when `cfg.federation` is set — on a
     /// federation of shards at the same total capacity.
     pub fn run_trace(cfg: &SimConfig, trace: &Trace) -> SimOutcome {
-        match &cfg.federation {
-            None => Self::run_core(
-                SimCore::new(cfg.clone(), trace.system_size),
-                MaterializedSource::new(trace),
-            ),
-            Some(fed) => {
-                let backend = Federation::new(fed, trace.system_size, &trace.jobs);
-                Self::run_core(
-                    SimCore::with_backend(cfg.clone(), backend),
-                    MaterializedSource::new(trace),
-                )
-            }
-        }
+        Self::run(cfg, MaterializedSource::new(trace), false)
     }
 
     /// Replay a streaming [`JobSource`] under `cfg`. This is the O(active
@@ -117,92 +105,50 @@ impl Simulator {
     /// window of the workload rather than its length.
     ///
     /// Produces **bitwise-identical** metrics to [`Simulator::run_trace`]
-    /// over the materialized equivalent of the same source.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.federation` is set: federated dispatch plans
-    /// placement from the full job list up front, which contradicts
-    /// streaming. Use [`Simulator::run_trace`] for federations.
+    /// over the materialized equivalent of the same source, on a single
+    /// cluster or a federation. A federation's sticky `home` pins and
+    /// per-job routing metadata still keep one entry per job seen, so a
+    /// federated replay's memory grows with the trace, not the live
+    /// window.
     pub fn run_source<S: JobSource>(cfg: &SimConfig, source: S) -> SimOutcome {
-        assert!(
-            cfg.federation.is_none(),
-            "streaming replay does not support federation (placement needs the full job list)"
-        );
-        let system_size = source.system_size();
-        let mut core = SimCore::with_backend(cfg.clone(), Cluster::new(system_size));
-        core.rec = Recorder::streaming(system_size, cfg.instant_threshold);
-        Self::run_core(core, source)
+        Self::run(cfg, source, true)
     }
 
-    /// The backend- and source-generic run loop behind
-    /// [`Simulator::run_trace`] and [`Simulator::run_source`].
-    ///
-    /// ## The arrival pump
-    ///
-    /// Jobs are injected in source order, but only as far ahead as the
-    /// event horizon requires: with `L = source.max_notice_lead()`, a job
-    /// is injected once `submit - L <=` the queue's head timestamp (or the
-    /// queue is empty). Any job still in the source therefore has every
-    /// one of its arrival events strictly after the current head, so the
-    /// arrival lane's monotonic watermark is never violated, and same-
-    /// instant arrival/dynamic ties resolve exactly as the old pre-seeded
-    /// loop did (arrival-lane sequence numbers sort below dynamic ones).
-    fn run_core<B: ClusterBackend, S: JobSource>(core: SimCore<B>, mut source: S) -> SimOutcome {
-        assert_eq!(
-            core.cluster.total_nodes(),
-            source.system_size(),
-            "backend capacity must match the source's system size"
-        );
-        let schedule_notices = !core.cfg.mechanism.is_baseline() && core.hooks.uses_notices();
-        let mechanism = core.cfg.mechanism;
+    /// The one run loop: batch replay is a client of the service pump.
+    /// With `L = source.max_notice_lead()`, each job is injected once
+    /// every event earlier than `submit - L` has been delivered (see
+    /// DESIGN.md §12). `streaming` folds retired jobs into the metrics
+    /// accumulators instead of retaining their records.
+    fn run<S: JobSource>(cfg: &SimConfig, source: S, streaming: bool) -> SimOutcome {
+        let n = source.system_size();
+        match &cfg.federation {
+            None => Self::replay(SimCore::new(cfg.clone(), n), (), source, streaming),
+            Some(fed) => {
+                let core = SimCore::with_backend(cfg.clone(), Federation::new(fed, n));
+                Self::replay(core, fed.clone(), source, streaming)
+            }
+        }
+    }
+
+    fn replay<B: SnapshotBackend, S: JobSource>(
+        mut core: SimCore<B>,
+        ctx: B::Ctx,
+        mut source: S,
+        streaming: bool,
+    ) -> SimOutcome
+    where
+        B::Ctx: Clone,
+    {
+        if streaming {
+            core.rec = Recorder::streaming(core.cluster.total_nodes(), core.cfg.instant_threshold);
+        }
         let lead = source.max_notice_lead();
-        let mut engine = Engine::new(core);
-        outage::seed_outages(&mut engine);
-        let mut next = source.next_job();
-        loop {
-            // Pump: admit + schedule arrivals due before (or at) the next
-            // event to dispatch.
-            while let Some(spec) = next.take() {
-                if let Some(head) = engine.queue.peek_time() {
-                    if spec.submit.saturating_sub(lead) > head {
-                        next = Some(spec);
-                        break;
-                    }
-                }
-                let id = spec.id;
-                if let (Some(notice), true) = (&spec.notice, schedule_notices) {
-                    engine
-                        .queue
-                        .schedule_arrival(notice.notice_time, Ev::Notice(id));
-                }
-                engine.queue.schedule_arrival(spec.submit, Ev::Submit(id));
-                engine.sim.admit(spec);
-                next = source.next_job();
-            }
-            if !engine.step() {
-                debug_assert!(next.is_none(), "source outlived the event queue");
-                break;
-            }
+        let mut svc = SchedulerService::from_core(core, ctx);
+        while let Some(spec) = source.next_job() {
+            svc.step_before(spec.submit.saturating_sub(lead));
+            svc.inject(spec);
         }
-        let stats = engine.stats();
-        let core = engine.into_sim();
-        let metrics = Metrics::compute(&core.rec, core.cfg.instant_threshold);
-        SimOutcome {
-            metrics,
-            engine: stats,
-            mechanism,
-            shards: core.shard_report(),
-            // O(1) guard: two-class runs never pay for the breakdown.
-            classes: core
-                .rec
-                .saw_capability()
-                .then(|| ClassBreakdown::compute(&core.rec)),
-            outages: core.outage_report(),
-            peak_resident_jobs: core.jobs().peak_live(),
-            admitted_jobs: core.jobs().admitted(),
-            timeline: core.cfg.record_timeline.then_some(core.timeline),
-        }
+        svc.into_outcome()
     }
 
     /// Generate one trace per seed and replay each under `cfg`, fanning the

@@ -15,12 +15,13 @@
 //! Replaying a [`SubmissionLog`] through the service (ops applied at
 //! their timestamps, events stepped in between) produces **bitwise
 //! identical** metrics to materializing the same log into a trace and
-//! batch-replaying it — for every mechanism. The pump below keeps the
-//! guarantee the same way the batch pump does: submissions are injected
-//! in ascending `(submit, id)` order, and always before the event
-//! horizon reaches a job's earliest event, so arrival-lane sequence
-//! numbers tie-break same-instant events exactly as a pre-seeded run
-//! would.
+//! batch-replaying it — for every mechanism. Batch replay is itself a
+//! client of this pump (it injects source jobs through
+//! [`SchedulerService::inject`]), and the pump keeps the guarantee by
+//! injecting submissions in ascending `(submit, id)` order, always before
+//! the event horizon reaches a job's earliest event, so arrival-lane
+//! sequence numbers tie-break same-instant events exactly as a
+//! pre-seeded run would.
 //!
 //! [`submit`]: SchedulerService::submit
 //! [`query`]: SchedulerService::query
@@ -40,7 +41,7 @@ use crate::timeline::TimelineEvent;
 use hws_cluster::{Cluster, Federation, NodeId, SnapshotBackend};
 use hws_metrics::{ClassBreakdown, Metrics};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_sim::{Engine, SimTime};
+use hws_sim::{Engine, SimDuration, SimTime};
 use hws_workload::{earliest_event, JobId, JobSpec, LogEntry, SubmissionLog, SubmitOp};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -157,12 +158,15 @@ pub struct SchedulerService<B: SnapshotBackend = Cluster> {
     /// and maintained by the pump), so injection never violates the
     /// arrival lane's monotonicity.
     buffer: BTreeMap<(SimTime, JobId), JobSpec>,
+    /// An upper bound on `submit - earliest_event` over the buffered
+    /// jobs, so the pump only scans keys up to `threshold + max_lead`.
+    max_lead: SimDuration,
     /// Jobs withdrawn via [`SchedulerService::cancel`].
     cancelled: BTreeSet<JobId>,
     /// Every id ever submitted (live, retired, or cancelled).
     seen: BTreeSet<JobId>,
-    /// Whether notice events are scheduled for buffered jobs (mirrors the
-    /// batch pump's criterion; recomputed per config on restore).
+    /// [`SimCore::schedules_notices`], cached (recomputed per config on
+    /// restore).
     schedule_notices: bool,
     /// Backend reconstruction context, kept for [`SchedulerService::what_if`]
     /// forks and exposed restores.
@@ -188,9 +192,8 @@ impl SchedulerService<Cluster> {
 
 impl SchedulerService<Federation> {
     /// Open a session on a federation of shards (`cfg.federation` must be
-    /// set). Jobs are registered with the placement policy incrementally
-    /// as they are injected, which places each job exactly as the batch
-    /// driver's up-front registration would.
+    /// set). Each job is registered with the placement policy as it is
+    /// injected, before any placement query about it.
     ///
     /// # Panics
     ///
@@ -200,8 +203,7 @@ impl SchedulerService<Federation> {
             .federation
             .clone()
             .expect("SchedulerService::federated needs cfg.federation");
-        let backend = Federation::new(&fed, system_size, &[]);
-        let core = SimCore::with_backend(cfg, backend);
+        let core = SimCore::with_backend(cfg, Federation::new(&fed, system_size));
         Self::from_core(core, fed)
     }
 }
@@ -210,13 +212,14 @@ impl<B: SnapshotBackend> SchedulerService<B>
 where
     B::Ctx: Clone,
 {
-    fn from_core(core: SimCore<B>, ctx: B::Ctx) -> Self {
-        let schedule_notices = !core.cfg.mechanism.is_baseline() && core.hooks.uses_notices();
+    pub(super) fn from_core(core: SimCore<B>, ctx: B::Ctx) -> Self {
+        let schedule_notices = core.schedules_notices();
         let mut engine = Engine::new(core);
         super::outage::seed_outages(&mut engine);
         SchedulerService {
             engine,
             buffer: BTreeMap::new(),
+            max_lead: SimDuration::ZERO,
             cancelled: BTreeSet::new(),
             seen: BTreeSet::new(),
             schedule_notices,
@@ -291,6 +294,7 @@ where
             return Err(SubmitError::PastDue { earliest, now });
         }
         self.seen.insert(id);
+        self.max_lead = self.max_lead.max(spec.submit.since(earliest));
         self.buffer.insert((spec.submit, id), spec);
         Ok(id)
     }
@@ -423,7 +427,7 @@ where
     }
 
     /// Deliver all remaining events (and buffered submissions) and fold
-    /// the run into the same [`SimOutcome`] the batch driver reports.
+    /// the run into a [`SimOutcome`] — batch replay ends the same way.
     pub fn into_outcome(mut self) -> SimOutcome {
         self.pump(SimTime::MAX, true);
         let stats = self.engine.stats();
@@ -473,33 +477,46 @@ where
 
     /// Inject the longest buffer prefix whose last entry has
     /// `earliest_event <= threshold` (`<` when `inclusive` is false).
+    /// No job keyed past `threshold + max_lead` can be due, so the scan
+    /// covers the due prefix plus one lead window, not the whole buffer.
     fn inject_up_to(&mut self, threshold: SimTime, inclusive: bool) {
         let due = |spec: &JobSpec| {
             let e = earliest_event(spec);
             e < threshold || (inclusive && e == threshold)
         };
+        let reach = threshold.as_secs().saturating_add(self.max_lead.as_secs());
         let last_due = self
             .buffer
-            .iter()
+            .range(..=(SimTime::from_secs(reach), JobId(u64::MAX)))
             .rev()
             .find(|(_, s)| due(s))
             .map(|(&k, _)| k);
         let Some(last) = last_due else { return };
-        let keys: Vec<(SimTime, JobId)> = self.buffer.range(..=last).map(|(&k, _)| k).collect();
-        for key in keys {
-            let spec = self.buffer.remove(&key).expect("key just listed");
-            let id = spec.id;
-            if let (Some(notice), true) = (&spec.notice, self.schedule_notices) {
-                self.engine
-                    .queue
-                    .schedule_arrival(notice.notice_time, Ev::Notice(id));
+        while let Some(entry) = self.buffer.first_entry() {
+            if *entry.key() > last {
+                break;
             }
+            let spec = entry.remove();
+            self.inject(spec);
+        }
+    }
+
+    /// Hand one job to the scheduler: schedule its arrival events, then
+    /// register and admit it. The one place arrival events are scheduled.
+    /// Callers guarantee that the job's earliest event is not before the
+    /// delivery watermark.
+    pub(super) fn inject(&mut self, spec: JobSpec) {
+        let id = spec.id;
+        if let (Some(notice), true) = (&spec.notice, self.schedule_notices) {
             self.engine
                 .queue
-                .schedule_arrival(spec.submit, Ev::Submit(id));
-            self.engine.sim.cluster.note_job(&spec);
-            self.engine.sim.admit(spec);
+                .schedule_arrival(notice.notice_time, Ev::Notice(id));
         }
+        self.engine
+            .queue
+            .schedule_arrival(spec.submit, Ev::Submit(id));
+        self.engine.sim.cluster.note_job(&spec);
+        self.engine.sim.admit(spec);
     }
 
     /// Serialize the entire session — engine, simulation state, buffered
@@ -565,10 +582,16 @@ where
             }
         }
         r.expect_end()?;
-        let schedule_notices = !cfg.mechanism.is_baseline() && engine.sim.hooks().uses_notices();
+        let max_lead = buffer
+            .values()
+            .map(|s| s.submit.since(earliest_event(s)))
+            .max()
+            .unwrap_or(SimDuration::ZERO);
+        let schedule_notices = engine.sim.schedules_notices();
         Ok(SchedulerService {
             engine,
             buffer,
+            max_lead,
             cancelled,
             seen,
             schedule_notices,

@@ -563,15 +563,12 @@ fn scratch_capacity_released_after_queue_spike() {
     let tr = trace(64, jobs);
     let mut cfg = SimConfig::with_mechanism(Mechanism::N_PAA);
     cfg.measure_decisions = false;
-    let mut engine = Engine::new(SimCore::new(cfg, tr.system_size));
+    let mut svc = SchedulerService::from_core(SimCore::new(cfg, tr.system_size), ());
     for spec in tr.jobs.iter().cloned() {
-        engine
-            .queue
-            .schedule_arrival(spec.submit, Ev::Submit(spec.id));
-        engine.sim.admit(spec);
+        svc.inject(spec);
     }
-    while engine.step() {}
-    let core = engine.into_sim();
+    svc.step_until(SimTime::MAX);
+    let core = svc.core_mut();
     let metrics = Metrics::compute(&core.rec, core.cfg.instant_threshold);
     assert_eq!(
         metrics.completed_jobs, SPIKE,

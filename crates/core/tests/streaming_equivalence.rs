@@ -8,6 +8,7 @@
 //! metric and engine counter must equal the materialized
 //! [`Simulator::run_trace`] result exactly (float equality, not epsilon).
 
+use hws_cluster::FederationConfig;
 use hws_core::{Mechanism, SimConfig, Simulator};
 use hws_sim::SimDuration;
 use hws_workload::job::JobSpecBuilder;
@@ -84,6 +85,27 @@ fn capability_classes_stream_identically() {
     let trace = TraceConfig::tiny().with_capability_frac(0.2).generate(3);
     for mechanism in Mechanism::ALL_SIX {
         assert_identical(&trace, mechanism);
+    }
+}
+
+/// A federation streams like a single cluster: each job is registered
+/// with the placement policy as it is injected, so the streamed replay
+/// places every job exactly as the materialized one does.
+#[test]
+fn two_shard_federation_streams_identically() {
+    let trace = TraceConfig::tiny().with_jobs(300).generate(5);
+    for mechanism in Mechanism::ALL_SIX {
+        let cfg = cfg_for(mechanism).federated(FederationConfig::even_split(2, trace.system_size));
+        let materialized = Simulator::run_trace(&cfg, &trace);
+        let streamed = Simulator::run_source(&cfg, stream_of(&trace));
+        assert_eq!(materialized.metrics, streamed.metrics, "{mechanism:?}");
+        assert_eq!(materialized.engine, streamed.engine, "{mechanism:?}");
+        assert_eq!(materialized.shards, streamed.shards, "{mechanism:?}");
+        assert!(streamed.shards.is_some());
+        assert_eq!(
+            materialized.peak_resident_jobs, streamed.peak_resident_jobs,
+            "{mechanism:?}"
+        );
     }
 }
 

@@ -90,8 +90,8 @@ pub mod prelude {
     pub use hws_sim::{SimDuration, SimTime};
     pub use hws_workload::{
         job::JobSpecBuilder, BackfillLevel, JobClass, JobId, JobKind, JobSpec, KnobVector,
-        LiveSource, LogEntry, NoticeCategory, NoticeMix, PlacementChoice, SubmissionLog, SubmitOp,
-        Trace, TraceConfig,
+        LogEntry, NoticeCategory, NoticeMix, PlacementChoice, SubmissionLog, SubmitOp, Trace,
+        TraceConfig,
     };
 }
 
