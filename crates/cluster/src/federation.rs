@@ -29,8 +29,7 @@ use crate::backend::ClusterBackend;
 use crate::node::{NodeId, NodeState};
 use crate::{Cluster, ReleaseOutcome};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_workload::{JobId, JobKind, JobSpec};
-use std::collections::HashMap;
+use hws_workload::{IdMap, JobId, JobKind, JobSpec};
 use std::sync::Arc;
 
 /// One member machine of a federation.
@@ -225,10 +224,10 @@ pub struct Federation {
     names: Vec<String>,
     policy: Arc<dyn PlacementPolicy>,
     /// Sticky job → shard assignment (first contact pins it).
-    home: HashMap<JobId, usize>,
+    home: IdMap<usize>,
     /// Job metadata registered through [`ClusterBackend::note_job`] as
     /// jobs arrive, so routing decisions need no driver-side plumbing.
-    meta: HashMap<JobId, JobMeta>,
+    meta: IdMap<JobMeta>,
     max_shard: u32,
     /// Total capacity fixed at construction; `check_invariants` verifies
     /// the live shard sizes still sum to it.
@@ -253,8 +252,8 @@ impl Federation {
             shards: cfg.shards.iter().map(|s| Cluster::new(s.nodes)).collect(),
             names: cfg.shards.iter().map(|s| s.name.clone()).collect(),
             policy: Arc::clone(&cfg.policy),
-            home: HashMap::new(),
-            meta: HashMap::new(),
+            home: IdMap::default(),
+            meta: IdMap::default(),
             max_shard: cfg.shards.iter().map(|s| s.nodes).max().unwrap_or(0),
             configured_total: system_size,
         }
@@ -734,7 +733,7 @@ impl Federation {
             shards.push(c);
         }
         let n_homes = r.get_len()?;
-        let mut home = HashMap::with_capacity(n_homes);
+        let mut home = IdMap::with_capacity_and_hasher(n_homes, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n_homes {
             let job = r.get_u64()?;
@@ -749,7 +748,7 @@ impl Federation {
             home.insert(JobId(job), shard);
         }
         let n_meta = r.get_len()?;
-        let mut meta = HashMap::with_capacity(n_meta);
+        let mut meta = IdMap::with_capacity_and_hasher(n_meta, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n_meta {
             let job = r.get_u64()?;

@@ -9,8 +9,7 @@
 //! anything else falls into the free pool.
 
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_workload::JobId;
-use std::collections::HashMap;
+use hws_workload::{IdMap, JobId};
 
 /// `nodes` nodes borrowed from `lender`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +23,7 @@ pub struct Lease {
 /// Per-borrower lease book.
 #[derive(Debug, Clone, Default)]
 pub struct LeaseLedger {
-    leases: HashMap<JobId, Vec<Lease>>,
+    leases: IdMap<Vec<Lease>>,
 }
 
 impl LeaseLedger {
@@ -108,7 +107,7 @@ impl LeaseLedger {
     /// Decode a ledger written by [`LeaseLedger::encode_snap`].
     pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.get_len()?;
-        let mut leases: HashMap<JobId, Vec<Lease>> = HashMap::with_capacity(n);
+        let mut leases: IdMap<Vec<Lease>> = IdMap::with_capacity_and_hasher(n, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let b = r.get_u64()?;
@@ -259,6 +258,23 @@ mod tests {
             w.put_u32(4);
             w.put_bool(true);
         }
+        let bytes = w.into_bytes();
+        assert!(LeaseLedger::decode_snap(&mut SnapReader::new(&bytes)).is_err());
+    }
+
+    /// A length field asking for 2³² − 1 entries with only a few bytes
+    /// left errors before any allocation is sized from it.
+    #[test]
+    fn huge_lease_counts_error_instead_of_aborting() {
+        let mut w = SnapWriter::new();
+        w.put_u64(0xFFFF_FFFF);
+        let bytes = w.into_bytes();
+        assert!(LeaseLedger::decode_snap(&mut SnapReader::new(&bytes)).is_err());
+        // The same for one borrower's lease list.
+        let mut w = SnapWriter::new();
+        w.put_len(1);
+        w.put_u64(7);
+        w.put_u64(0xFFFF_FFFF);
         let bytes = w.into_bytes();
         assert!(LeaseLedger::decode_snap(&mut SnapReader::new(&bytes)).is_err());
     }

@@ -32,7 +32,7 @@ pub use lease::{Lease, LeaseLedger};
 pub use node::{NodeId, NodeState};
 pub use snapshot::SnapshotBackend;
 
-use hws_workload::JobId;
+use hws_workload::{IdMap, JobId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Outcome of releasing a job's nodes: how many went back to the general
@@ -78,21 +78,26 @@ struct Split {
 ///
 /// [`Cluster::check_invariants`] cross-validates all three against a full
 /// node scan; the simulator's `paranoid_checks` mode runs it per event.
+///
+/// Node ids move onto and off the free stack and the idle reservations
+/// through one private helper pair (`take_top`, `give_free`): one slice
+/// copy plus one state write per node. The free stack's pop order is the
+/// placement contract the deterministic baselines lock.
 #[derive(Debug, Clone)]
 pub struct Cluster {
     nodes: Vec<NodeState>,
     /// Stack of plain-free nodes (state `Free`).
     free_list: Vec<NodeId>,
     /// Running job → its nodes (both `Busy` and `ReservedBusy`).
-    alloc: HashMap<JobId, Vec<NodeId>>,
+    alloc: IdMap<Vec<NodeId>>,
     /// Reservation holder → idle reserved nodes (state `Reserved`).
-    reserved_idle: HashMap<JobId, Vec<NodeId>>,
+    reserved_idle: IdMap<Vec<NodeId>>,
     /// Running job → incremental `(plain, squatted)` counters.
-    splits: HashMap<JobId, Split>,
+    splits: IdMap<Split>,
     /// Holder → squatter → nodes of the squatter on that holder's
     /// reservation. `BTreeMap` keeps [`Cluster::squatters`] output in
     /// deterministic job-id order without a per-call sort.
-    squatter_index: HashMap<JobId, BTreeMap<JobId, u32>>,
+    squatter_index: IdMap<BTreeMap<JobId, u32>>,
     /// Running total of idle reserved nodes across all holders.
     reserved_idle_total: u32,
     /// Nodes marked for graceful drain while still occupied; they go
@@ -114,10 +119,10 @@ impl Cluster {
         Cluster {
             nodes: vec![NodeState::Free; n as usize],
             free_list: (0..n).rev().map(NodeId).collect(),
-            alloc: HashMap::new(),
-            reserved_idle: HashMap::new(),
-            splits: HashMap::new(),
-            squatter_index: HashMap::new(),
+            alloc: IdMap::default(),
+            reserved_idle: IdMap::default(),
+            splits: IdMap::default(),
+            squatter_index: IdMap::default(),
             reserved_idle_total: 0,
             draining: BTreeSet::new(),
             down_count: 0,
@@ -141,6 +146,38 @@ impl Cluster {
             v.clear();
             self.spare.push(v);
         }
+    }
+
+    /// Move the top `k` ids of `stack` (the free stack or an idle
+    /// reservation) onto the end of `to`, in pop order, marking each node
+    /// `state`. Pop order — the last id pushed is the first taken — is the
+    /// placement contract every byte-locked baseline depends on; this
+    /// copies it in one slice move instead of `k` pops. An associated
+    /// function so `stack` and `to` may both live in `self`'s maps.
+    fn take_top(
+        nodes: &mut [NodeState],
+        stack: &mut Vec<NodeId>,
+        k: usize,
+        state: NodeState,
+        to: &mut Vec<NodeId>,
+    ) {
+        let rest = stack.len() - k;
+        let top = &stack[rest..];
+        for id in top {
+            nodes[id.index()] = state;
+        }
+        to.extend(top.iter().rev());
+        stack.truncate(rest);
+    }
+
+    /// Return `ids` to the free stack, pushed in slice order, marking each
+    /// node `Free`. Callers route draining nodes through
+    /// [`Cluster::free_node`] instead.
+    fn give_free(nodes: &mut [NodeState], free_list: &mut Vec<NodeId>, ids: &[NodeId]) {
+        for id in ids {
+            nodes[id.index()] = NodeState::Free;
+        }
+        free_list.extend_from_slice(ids);
     }
 
     pub fn total_nodes(&self) -> u32 {
@@ -330,11 +367,13 @@ impl Cluster {
             return None;
         }
         let mut nodes = self.fresh_nodes(k as usize);
-        for _ in 0..k {
-            let id = self.free_list.pop().expect("free_count checked");
-            self.nodes[id.index()] = NodeState::Busy { job };
-            nodes.push(id);
-        }
+        Self::take_top(
+            &mut self.nodes,
+            &mut self.free_list,
+            k as usize,
+            NodeState::Busy { job },
+            &mut nodes,
+        );
         self.splits.insert(
             job,
             Split {
@@ -357,26 +396,21 @@ impl Cluster {
             return None;
         }
         let mut nodes = self.fresh_nodes(k as usize);
-        if let Some(idle) = self.reserved_idle.get_mut(&job) {
-            while nodes.len() < k as usize {
-                match idle.pop() {
-                    Some(id) => {
-                        self.nodes[id.index()] = NodeState::Busy { job };
-                        self.reserved_idle_total -= 1;
-                        nodes.push(id);
-                    }
-                    None => break,
-                }
-            }
+        let busy = NodeState::Busy { job };
+        if own_reserved > 0 {
+            let idle = self
+                .reserved_idle
+                .get_mut(&job)
+                .expect("holder has idle nodes");
+            let mine = own_reserved.min(k);
+            Self::take_top(&mut self.nodes, idle, mine as usize, busy, &mut nodes);
+            self.reserved_idle_total -= mine;
             if idle.is_empty() {
                 self.reserved_idle.remove(&job);
             }
         }
-        while nodes.len() < k as usize {
-            let id = self.free_list.pop().expect("checked above");
-            self.nodes[id.index()] = NodeState::Busy { job };
-            nodes.push(id);
-        }
+        let rest = k as usize - nodes.len();
+        Self::take_top(&mut self.nodes, &mut self.free_list, rest, busy, &mut nodes);
         self.splits.insert(
             job,
             Split {
@@ -419,15 +453,14 @@ impl Cluster {
             return None;
         }
         let mut nodes = self.fresh_nodes(k as usize);
-        while nodes.len() < k as usize {
-            match self.free_list.pop() {
-                Some(id) => {
-                    self.nodes[id.index()] = NodeState::Busy { job };
-                    nodes.push(id);
-                }
-                None => break,
-            }
-        }
+        let plain = self.free_list.len().min(k as usize);
+        Self::take_top(
+            &mut self.nodes,
+            &mut self.free_list,
+            plain,
+            NodeState::Busy { job },
+            &mut nodes,
+        );
         let mut squatted: Vec<(JobId, u32)> = Vec::new();
         if nodes.len() < k as usize {
             // Deterministic holder order.
@@ -438,29 +471,22 @@ impl Cluster {
                 .filter(|h| squat_allowed(*h))
                 .collect();
             holders.sort();
-            'outer: for h in holders {
+            for h in holders {
                 let idle = self.reserved_idle.get_mut(&h).expect("key exists");
-                let mut taken = 0;
-                while nodes.len() < k as usize {
-                    match idle.pop() {
-                        Some(id) => {
-                            self.nodes[id.index()] = NodeState::ReservedBusy { holder: h, job };
-                            self.reserved_idle_total -= 1;
-                            nodes.push(id);
-                            taken += 1;
-                        }
-                        None => break,
-                    }
-                }
+                let taken = idle.len().min(k as usize - nodes.len());
+                let state = NodeState::ReservedBusy { holder: h, job };
+                Self::take_top(&mut self.nodes, idle, taken, state, &mut nodes);
                 if idle.is_empty() {
                     self.reserved_idle.remove(&h);
                 }
                 if taken > 0 {
+                    let taken = taken as u32;
+                    self.reserved_idle_total -= taken;
                     self.note_squat(h, job, taken);
                     squatted.push((h, taken));
                 }
                 if nodes.len() == k as usize {
-                    break 'outer;
+                    break;
                 }
             }
         }
@@ -490,8 +516,7 @@ impl Cluster {
             self.down_count += 1;
             false
         } else {
-            self.nodes[id.index()] = NodeState::Free;
-            self.free_list.push(id);
+            Self::give_free(&mut self.nodes, &mut self.free_list, &[id]);
             true
         }
     }
@@ -516,8 +541,16 @@ impl Cluster {
     /// draining leave service instead and appear in neither bucket.
     pub fn release(&mut self, job: JobId) -> ReleaseOutcome {
         let mut nodes = self.alloc.remove(&job).unwrap_or_default();
-        self.splits.remove(&job);
+        let split = self.splits.remove(&job).unwrap_or_default();
         let mut out = ReleaseOutcome::default();
+        if split.squatted == 0 && self.draining.is_empty() {
+            // Every node is plain `Busy` and none is draining: the whole
+            // list goes back to the free stack in allocation order.
+            Self::give_free(&mut self.nodes, &mut self.free_list, &nodes);
+            out.to_free = nodes.len() as u32;
+            self.retire_nodes(nodes);
+            return out;
+        }
         let mut unsquat: Vec<(JobId, u32)> = Vec::new();
         for id in nodes.drain(..) {
             match self.nodes[id.index()] {
@@ -620,11 +653,15 @@ impl Cluster {
     pub fn expand(&mut self, job: JobId, k: u32) -> u32 {
         assert!(self.alloc.contains_key(&job), "expand of non-running job");
         let take = k.min(self.free_count());
-        for _ in 0..take {
-            let id = self.free_list.pop().expect("bounded by free_count");
-            self.nodes[id.index()] = NodeState::Busy { job };
-            self.alloc.get_mut(&job).expect("checked").push(id);
-        }
+        let nodes = self.alloc.get_mut(&job).expect("checked");
+        let busy = NodeState::Busy { job };
+        Self::take_top(
+            &mut self.nodes,
+            &mut self.free_list,
+            take as usize,
+            busy,
+            nodes,
+        );
         self.splits
             .get_mut(&job)
             .expect("running job has a split")
@@ -644,11 +681,14 @@ impl Cluster {
             return 0;
         }
         let idle = self.reserved_idle.entry(holder).or_default();
-        for _ in 0..take {
-            let id = self.free_list.pop().expect("bounded by free_count");
-            self.nodes[id.index()] = NodeState::Reserved { holder };
-            idle.push(id);
-        }
+        let state = NodeState::Reserved { holder };
+        Self::take_top(
+            &mut self.nodes,
+            &mut self.free_list,
+            take as usize,
+            state,
+            idle,
+        );
         self.reserved_idle_total += take;
         take
     }
@@ -681,11 +721,15 @@ impl Cluster {
     pub fn release_reservation(&mut self, holder: JobId) -> u32 {
         let mut freed = 0;
         if let Some(idle) = self.reserved_idle.remove(&holder) {
-            for id in idle {
-                self.free_node(id);
-                freed += 1;
-            }
+            freed = idle.len() as u32;
             self.reserved_idle_total -= freed;
+            if self.draining.is_empty() {
+                Self::give_free(&mut self.nodes, &mut self.free_list, &idle);
+            } else {
+                for &id in &idle {
+                    self.free_node(id);
+                }
+            }
         }
         // Squatters keep running, now on plain `Busy` nodes. The squatter
         // index names exactly the affected jobs, so only their allocations
@@ -766,8 +810,7 @@ impl Cluster {
     /// `true` when anything changed. Idempotent.
     pub fn rejoin_node(&mut self, id: NodeId) -> bool {
         if self.nodes[id.index()] == NodeState::Down {
-            self.nodes[id.index()] = NodeState::Free;
-            self.free_list.push(id);
+            Self::give_free(&mut self.nodes, &mut self.free_list, &[id]);
             self.down_count -= 1;
             true
         } else {
@@ -915,7 +958,7 @@ impl Cluster {
                 ));
             }
         }
-        let mut scanned_squats: HashMap<JobId, BTreeMap<JobId, u32>> = HashMap::new();
+        let mut scanned_squats: IdMap<BTreeMap<JobId, u32>> = IdMap::default();
         for st in &self.nodes {
             if let NodeState::ReservedBusy { holder, job } = st {
                 *scanned_squats

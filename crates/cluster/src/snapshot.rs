@@ -25,8 +25,8 @@
 use crate::node::{NodeId, NodeState};
 use crate::{Cluster, ClusterBackend, Federation, FederationConfig, Split};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
-use hws_workload::JobId;
-use std::collections::{BTreeMap, HashMap};
+use hws_workload::{IdMap, JobId};
+use std::collections::BTreeMap;
 
 /// A [`ClusterBackend`] whose full dynamic state can round-trip through
 /// the snapshot byte format.
@@ -119,9 +119,9 @@ fn decode_node_table(
     seen: &mut [bool],
     what: &str,
     expect: impl Fn(JobId, NodeState) -> bool,
-) -> Result<HashMap<JobId, Vec<NodeId>>, SnapError> {
+) -> Result<IdMap<Vec<NodeId>>, SnapError> {
     let n = r.get_len()?;
-    let mut table = HashMap::with_capacity(n);
+    let mut table = IdMap::with_capacity_and_hasher(n, Default::default());
     let mut prev: Option<u64> = None;
     for _ in 0..n {
         let job = r.get_u64()?;
@@ -268,8 +268,8 @@ impl Cluster {
             draining.push(id);
         }
         // Rebuild the derived accounting from the authoritative state.
-        let mut splits = HashMap::with_capacity(alloc.len());
-        let mut squatter_index: HashMap<JobId, BTreeMap<JobId, u32>> = HashMap::new();
+        let mut splits = IdMap::with_capacity_and_hasher(alloc.len(), Default::default());
+        let mut squatter_index: IdMap<BTreeMap<JobId, u32>> = IdMap::default();
         for (&job, list) in &alloc {
             let mut split = Split::default();
             for id in list {
@@ -422,6 +422,82 @@ mod tests {
         let bytes = w.into_bytes();
         let err = Cluster::decode_snap(&mut SnapReader::new(&bytes)).unwrap_err();
         assert!(err.what.contains("claimed by no list"), "got: {err}");
+    }
+
+    const HUGE: usize = 0xFFFF_FFFF;
+
+    /// Each list length of a cluster image (free list, allocation table,
+    /// one allocation's node list, draining marks) set to 2³² − 1 with
+    /// only a few bytes left errors instead of sizing an allocation.
+    #[test]
+    fn huge_cluster_list_lengths_error_instead_of_aborting() {
+        // Two nodes: node 0 Busy for job 7, node 1 Free.
+        let prefix = |w: &mut SnapWriter| {
+            w.put_u32(2);
+            w.put_u8(1);
+            w.put_u64(7);
+            w.put_u8(0);
+        };
+        let images: [&dyn Fn(&mut SnapWriter); 4] = [
+            &|w| w.put_len(HUGE),
+            &|w| {
+                w.put_len(1);
+                w.put_u32(1);
+                w.put_len(HUGE);
+            },
+            &|w| {
+                w.put_len(1);
+                w.put_u32(1);
+                w.put_len(1);
+                w.put_u64(7);
+                w.put_len(HUGE);
+            },
+            &|w| {
+                w.put_len(1);
+                w.put_u32(1);
+                w.put_len(1);
+                w.put_u64(7);
+                w.put_len(1);
+                w.put_u32(0);
+                w.put_len(0);
+                w.put_len(HUGE);
+            },
+        ];
+        for (i, tail) in images.iter().enumerate() {
+            let mut w = SnapWriter::new();
+            prefix(&mut w);
+            tail(&mut w);
+            let bytes = w.into_bytes();
+            let err = Cluster::decode_snap(&mut SnapReader::new(&bytes)).unwrap_err();
+            assert!(err.what.contains("implausible length"), "image {i}: {err}");
+        }
+    }
+
+    /// The `home` and `meta` counts of a federation image set to 2³² − 1
+    /// with only a few bytes left error instead of sizing an allocation.
+    #[test]
+    fn huge_federation_map_lengths_error_instead_of_aborting() {
+        let cfg = FederationConfig::even_split(2, 24);
+        let mut w = SnapWriter::new();
+        Federation::new(&cfg, 24).encode_snap(&mut w);
+        let empty = w.into_bytes();
+        // An empty federation ends with two zero counts: homes, then meta.
+        let shards = &empty[..empty.len() - 16];
+        for zeros_kept in [0, 1] {
+            let mut bytes = shards.to_vec();
+            let mut w = SnapWriter::new();
+            for _ in 0..zeros_kept {
+                w.put_len(0);
+            }
+            w.put_len(HUGE);
+            w.put_u8(0);
+            bytes.extend(w.into_bytes());
+            let err = Federation::decode_snap(&mut SnapReader::new(&bytes), &cfg).unwrap_err();
+            assert!(
+                err.what.contains("implausible length"),
+                "site {zeros_kept}: {err}"
+            );
+        }
     }
 
     fn sample_specs() -> Vec<hws_workload::JobSpec> {

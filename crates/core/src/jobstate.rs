@@ -110,7 +110,7 @@ impl JobState {
     /// including the run record and drain bookkeeping).
     pub fn encode_snap(&self, w: &mut SnapWriter) {
         w.put_u64(self.id.0);
-        w.put_len(self.spec_idx);
+        w.put_u64(self.spec_idx as u64);
         w.put_u8(status_tag(self.status));
         w.put_u64(self.remaining_work.as_secs());
         w.put_u64(self.remaining_ns);
@@ -150,7 +150,7 @@ impl JobState {
     /// Truncated input or invalid tags — never panics.
     pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<JobState, SnapError> {
         let id = JobId(r.get_u64()?);
-        let spec_idx = r.get_len()?;
+        let spec_idx = r.get_usize()?;
         let status = status_from_tag(r.get_u8()?).map_err(|b| r.err(b))?;
         let remaining_work = SimDuration::from_secs(r.get_u64()?);
         let remaining_ns = r.get_u64()?;

@@ -321,7 +321,7 @@ impl JobTable {
         for &s in &self.free {
             w.put_u32(s);
         }
-        w.put_len(self.peak_live);
+        w.put_u64(self.peak_live as u64);
         w.put_u64(self.admitted);
     }
 
@@ -337,9 +337,6 @@ impl JobTable {
     /// Never panics.
     pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n_slots = r.get_len()?;
-        if n_slots > r.remaining() {
-            return Err(r.err(format!("implausible slot count {n_slots}")));
-        }
         let mut specs = Vec::with_capacity(n_slots);
         let mut states = Vec::with_capacity(n_slots);
         let mut occupied = Vec::with_capacity(n_slots);
@@ -403,7 +400,7 @@ impl JobTable {
             }
             free.push(s);
         }
-        let peak_live = r.get_len()?;
+        let peak_live = r.get_usize()?;
         if peak_live < n_live {
             return Err(r.err(format!("peak_live {peak_live} below live count {n_live}")));
         }

@@ -14,7 +14,7 @@
 //!    session (snapshot bytes unchanged).
 //! 4. **Cancel semantics** — buffered / announced / waiting / too-late.
 
-use hws_cluster::{Federation, FederationConfig, SnapshotBackend};
+use hws_cluster::{Cluster, Federation, FederationConfig, SnapshotBackend};
 use hws_core::{
     replay_submission_log, CancelOutcome, CapabilityAware, JobStatus, Mechanism, SchedulerService,
     SimConfig, SimOutcome, Simulator,
@@ -216,6 +216,32 @@ fn what_if_leaves_no_trace() {
     }
     assert_eq!(svc.snapshot(), before, "what_if perturbed the live session");
     assert_eq!(svc.query(probe.id), JobStatus::Unknown);
+}
+
+/// No length field of a service image can size an allocation beyond the
+/// bytes left: overwriting any 8-byte window with 2³² − 1 (a count that
+/// would ask for gigabytes) restores to an error or to a state, never to
+/// an aborted process. The windows over the engine's queue, wait-queue,
+/// claim, timeout, CUP-plan and shard counts must all be rejected.
+#[test]
+fn huge_length_fields_error_instead_of_aborting() {
+    let trace = TraceConfig::tiny().with_jobs(40).generate(11);
+    let log = SubmissionLog::from_trace(&trace);
+    let cfg = cfg_for(Mechanism::CUP_SPAA);
+    let mut svc = SchedulerService::new(cfg.clone(), log.system_size());
+    for e in &log.entries()[..log.len() / 2] {
+        svc.apply(e).expect("entry applies");
+    }
+    let bytes = svc.snapshot();
+    let mut rejected = 0;
+    for at in 0..=bytes.len() - 8 {
+        let mut bad = bytes.clone();
+        bad[at..at + 8].copy_from_slice(&0xFFFF_FFFFu64.to_le_bytes());
+        if SchedulerService::<Cluster>::restore(&bad, &cfg, ()).is_err() {
+            rejected += 1;
+        }
+    }
+    assert!(rejected > 0, "no overwritten window was rejected");
 }
 
 /// Buffered cancel: bitwise-identical to never submitting the job.

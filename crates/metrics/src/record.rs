@@ -5,8 +5,8 @@ use crate::classes::ClassAcc;
 use crate::summary::MetricsAcc;
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{SimDuration, SimTime};
-use hws_workload::{JobClass, JobId, JobKind, NoticeCategory};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use hws_workload::{IdMap, JobClass, JobId, JobKind, NoticeCategory};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything measured about one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,7 +170,7 @@ enum Retention {
 pub struct Recorder {
     pub system_size: u32,
     retention: Retention,
-    records: HashMap<JobId, JobRecord>,
+    records: IdMap<JobRecord>,
     /// Node-seconds any job occupied (work + setup + checkpoint + drain).
     occupied_node_seconds: u128,
     /// Node-seconds of computation discarded because of preemption.
@@ -189,7 +189,7 @@ impl Recorder {
         Recorder {
             system_size,
             retention: Retention::Retain,
-            records: HashMap::new(),
+            records: IdMap::default(),
             occupied_node_seconds: 0,
             wasted_node_seconds: 0,
             first_submit: None,
@@ -476,7 +476,7 @@ impl Recorder {
     pub fn decode_snap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let system_size = r.get_u32()?;
         let n = r.get_len()?;
-        let mut records = HashMap::with_capacity(n);
+        let mut records = IdMap::with_capacity_and_hasher(n, Default::default());
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let id = r.get_u64()?;
@@ -703,6 +703,19 @@ mod tests {
                 "truncation at {cut} must not decode cleanly"
             );
         }
+    }
+
+    /// A record count of 2³² − 1 with only a few bytes left errors
+    /// instead of sizing an allocation.
+    #[test]
+    fn huge_record_count_errors_instead_of_aborting() {
+        let mut w = hws_sim::SnapWriter::new();
+        w.put_u32(64);
+        w.put_u64(0xFFFF_FFFF);
+        w.put_u64(1);
+        let bytes = w.into_bytes();
+        let err = Recorder::decode_snap(&mut hws_sim::SnapReader::new(&bytes)).unwrap_err();
+        assert!(err.what.contains("implausible length"), "{err}");
     }
 
     #[test]

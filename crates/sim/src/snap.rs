@@ -87,7 +87,9 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Lengths/counts travel as u64 so the format is pointer-width-free.
+    /// List lengths travel as u64 so the format is pointer-width-free.
+    /// Every element of a length-prefixed list must encode to at least one
+    /// byte: [`SnapReader::get_len`] rejects a length above the bytes left.
     pub fn put_len(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
@@ -203,17 +205,27 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
-    /// Length field with a sanity cap: a corrupted length must not drive a
-    /// multi-gigabyte allocation before the next read fails.
+    /// Length of a list that follows. No encoding has zero-width elements,
+    /// so a length above the bytes remaining is corrupt and errors here:
+    /// a decoder may size `with_capacity` from the result without letting
+    /// a damaged field drive a multi-gigabyte allocation.
     pub fn get_len(&mut self) -> Result<usize, SnapError> {
         let v = self.get_u64()?;
-        if v > self.remaining() as u64 && v > (1 << 32) {
+        if v > self.remaining() as u64 {
             return Err(SnapError::new(
                 self.pos - 8,
-                format!("implausible length {v}"),
+                format!("implausible length {v}: {} bytes remain", self.remaining()),
             ));
         }
         Ok(v as usize)
+    }
+
+    /// A `usize` index or counter written with [`SnapWriter::put_u64`].
+    /// Unlike [`SnapReader::get_len`] it is not bounded by the bytes left.
+    pub fn get_usize(&mut self) -> Result<usize, SnapError> {
+        let at = self.pos;
+        let v = self.get_u64()?;
+        usize::try_from(v).map_err(|_| SnapError::new(at, format!("value {v} overflows usize")))
     }
 
     pub fn get_f64(&mut self) -> Result<f64, SnapError> {
@@ -300,11 +312,34 @@ mod tests {
 
     #[test]
     fn implausible_length_is_rejected_early() {
+        // Absurd length prefixes, including 2^32 - 1 elements, with
+        // nothing after the field.
+        for len in [u64::MAX / 2, 0xFFFF_FFFF] {
+            let mut w = SnapWriter::new();
+            w.put_u64(len);
+            let bytes = w.into_bytes();
+            assert!(SnapReader::new(&bytes).get_bytes().is_err());
+            assert!(SnapReader::new(&bytes).get_len().is_err());
+        }
+        // One byte more than remains fails; exactly what remains passes.
+        for (len, ok) in [(4u64, false), (3, true)] {
+            let mut w = SnapWriter::new();
+            w.put_u64(len);
+            for _ in 0..3 {
+                w.put_u8(0);
+            }
+            let bytes = w.into_bytes();
+            let got = SnapReader::new(&bytes).get_len();
+            assert_eq!(got.is_ok(), ok, "length {len}");
+        }
+    }
+
+    #[test]
+    fn usize_values_are_not_capped_by_the_remaining_bytes() {
         let mut w = SnapWriter::new();
-        w.put_u64(u64::MAX / 2); // absurd length prefix
+        w.put_u64(1 << 40);
         let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert!(r.get_bytes().is_err());
+        assert_eq!(SnapReader::new(&bytes).get_usize(), Ok(1 << 40));
     }
 
     #[test]
