@@ -48,9 +48,9 @@ fn main() {
         "ablations: scale {scale:?}, {}, {seeds} seeds per cell",
         source.describe()
     );
-    let with_name = |name: &str, m: &Metrics| {
+    let with_name = |name: &str, cfg: &SimConfig| {
         let mut cells = vec![name.to_string()];
-        cells.extend(row_of(m));
+        cells.extend(row_of(&run_averaged_source(cfg, &source, seeds).0));
         cells
     };
 
@@ -62,7 +62,7 @@ fn main() {
     ] {
         let mut cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
         cfg.backfill_on_reserved = on;
-        t.row(with_name(name, &run_averaged_source(&cfg, &source, seeds)));
+        t.row(with_name(name, &cfg));
     }
     println!("ABLATION 1: backfilling on on-demand reservations (CUA&SPAA)");
     println!("{}", t.render());
@@ -76,7 +76,7 @@ fn main() {
     ] {
         let mut cfg = SimConfig::with_mechanism(Mechanism::N_PAA);
         cfg.victim_order = order;
-        t.row(with_name(name, &run_averaged_source(&cfg, &source, seeds)));
+        t.row(with_name(name, &cfg));
     }
     println!("ABLATION 2: PAA victim ordering (N&PAA)");
     println!("{}", t.render());
@@ -89,7 +89,7 @@ fn main() {
     ] {
         let mut cfg = SimConfig::with_mechanism(Mechanism::N_SPAA);
         cfg.shrink_strategy = strat;
-        t.row(with_name(name, &run_averaged_source(&cfg, &source, seeds)));
+        t.row(with_name(name, &cfg));
     }
     println!("ABLATION 3: SPAA shrink distribution (N&SPAA)");
     println!("{}", t.render());
@@ -106,10 +106,7 @@ fn main() {
             "{secs} s warning{}",
             if secs == 120 { " (paper)" } else { "" }
         );
-        t.row(with_name(
-            &label,
-            &run_averaged_source(&cfg, &source, seeds),
-        ));
+        t.row(with_name(&label, &cfg));
     }
     println!("ABLATION 4: malleable preemption warning (N&PAA)");
     println!("{}", t.render());
@@ -127,10 +124,7 @@ fn main() {
                 ""
             }
         );
-        t.row(with_name(
-            &label,
-            &run_averaged_source(&cfg, &source, seeds),
-        ));
+        t.row(with_name(&label, &cfg));
     }
     println!("ABLATION 5: queue policy under CUA&SPAA");
     println!("{}", t.render());

@@ -63,10 +63,7 @@ fn run_cell(
     archives: &[PathBuf],
     self_check: Option<&[SimOutcome]>,
 ) -> Row {
-    let mut cfg = SimConfig::with_mechanism(m);
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so the streamed outcome is a pure function of the archive.
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(m);
 
     let mut outcomes = Vec::with_capacity(archives.len());
     let mut wall_s = 0.0;
@@ -159,8 +156,7 @@ fn main() {
 
         for m in Mechanism::ALL_SIX {
             let self_check = reference.as_ref().map(|trace| {
-                let mut cfg = SimConfig::with_mechanism(m);
-                cfg.measure_decisions = false;
+                let cfg = SimConfig::with_mechanism(m);
                 vec![Simulator::run_trace(&cfg, trace)]
             });
             let row = run_cell(profile, m, &archives, self_check.as_deref());

@@ -59,10 +59,7 @@ struct Row {
 /// bitwise verification, and — at zero fraction — the bitwise
 /// plain-mechanism parity oracle.
 fn run_cell(m: Mechanism, source: &'static str, traces: &[Trace], frac: f64, seeds: u64) -> Row {
-    let mut cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(m));
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so parallel == sequential == plain-path holds bitwise.
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(m));
 
     let swept = Simulator::run_sweep_with(&cfg, &(0..seeds).collect::<Vec<_>>(), |s| {
         traces[s as usize].clone()
@@ -89,8 +86,7 @@ fn run_cell(m: Mechanism, source: &'static str, traces: &[Trace], frac: f64, see
     if frac == 0.0 {
         // The key oracle: zero capability jobs ≡ the plain two-class
         // mechanism path, bitwise.
-        let mut plain_cfg = SimConfig::with_mechanism(m);
-        plain_cfg.measure_decisions = false;
+        let plain_cfg = SimConfig::with_mechanism(m);
         for (i, (tr, c)) in traces.iter().zip(&sequential).enumerate() {
             assert_eq!(tr.count_class(JobClass::Capability), 0);
             let plain = Simulator::run_trace(&plain_cfg, tr);

@@ -67,10 +67,7 @@ fn run_cell(
     fed: &FederationConfig,
     seeds: u64,
 ) -> Row {
-    let mut cfg = SimConfig::with_mechanism(m);
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so parallel == sequential == single-cluster holds bitwise.
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(m);
     let fed_cfg = cfg.clone().federated(fed.clone());
 
     let swept = Simulator::run_sweep_with(&fed_cfg, &(0..seeds).collect::<Vec<_>>(), |s| {

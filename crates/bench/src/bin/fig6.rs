@@ -7,12 +7,12 @@
 //! * on-demand instant-start rate,
 //! * preemption ratio (rigid and malleable).
 //!
-//! `-- --check` additionally evaluates the paper's Observations 1–9 against
-//! the measured grid and prints a pass/fail line per observation.
+//! `-- --check` additionally evaluates the paper's Observations 1–12
+//! against the measured grid and prints a pass/fail line per observation.
 
 use hws_bench::{run_fig6_grid, seeds_from_env, Scale, TraceSource};
 use hws_core::{Mechanism, SimConfig};
-use hws_metrics::{Metrics, Table};
+use hws_metrics::{LatencyHistogram, Metrics, Table};
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
@@ -44,8 +44,8 @@ fn main() {
     }
     println!("{}", t3.render());
 
-    let baseline = hws_bench::run_averaged_source(&SimConfig::baseline(), &source, seeds);
-    let rows = run_fig6_grid(&source, seeds, &Mechanism::ALL_SIX);
+    let (baseline, _) = hws_bench::run_averaged_source(&SimConfig::baseline(), &source, seeds);
+    let (rows, latency) = run_fig6_grid(&source, seeds, &Mechanism::ALL_SIX);
 
     type Panel = (&'static str, fn(&Metrics) -> String);
     let metric_panels: [Panel; 8] = [
@@ -99,22 +99,25 @@ fn main() {
     }
 
     println!(
-        "decision latency across all runs: mean {:.1} us, p99 {:.1} us, max {:.1} us (Obs. 10: << 10 ms)",
-        avg(&rows, |m| m.decision_mean_us),
-        rows.iter().map(|(_, _, m)| m.decision_p99_us).fold(0.0, f64::max),
-        rows.iter().map(|(_, _, m)| m.decision_max_us).fold(0.0, f64::max),
+        "decision latency over {} decisions in all mechanism runs: mean {:.1} us, p99 {:.1} us, max {:.1} us (Obs. 10: << 10 ms)",
+        latency.count(),
+        latency.mean_us(),
+        latency.p99_us(),
+        latency.max_us(),
     );
 
     if check {
-        run_observation_checks(&baseline, &rows);
+        run_observation_checks(&baseline, &rows, &latency);
     }
 }
 
-fn avg(rows: &[(&str, Mechanism, Metrics)], f: fn(&Metrics) -> f64) -> f64 {
+type Row = (&'static str, Mechanism, Metrics);
+
+fn avg(rows: &[Row], f: fn(&Metrics) -> f64) -> f64 {
     rows.iter().map(|(_, _, m)| f(m)).sum::<f64>() / rows.len() as f64
 }
 
-fn mech_avg(rows: &[(&str, Mechanism, Metrics)], mech: Mechanism, f: fn(&Metrics) -> f64) -> f64 {
+fn mech_avg(rows: &[Row], mech: Mechanism, f: fn(&Metrics) -> f64) -> f64 {
     let v: Vec<f64> = rows
         .iter()
         .filter(|(_, m, _)| *m == mech)
@@ -124,7 +127,7 @@ fn mech_avg(rows: &[(&str, Mechanism, Metrics)], mech: Mechanism, f: fn(&Metrics
 }
 
 /// Evaluate the qualitative claims of §V-A/§V-B against the measured grid.
-fn run_observation_checks(baseline: &Metrics, rows: &[(&str, Mechanism, Metrics)]) {
+fn run_observation_checks(baseline: &Metrics, rows: &[Row], latency: &LatencyHistogram) {
     use Mechanism as M;
     println!("\nOBSERVATION CHECKS (paper §V)");
     let mut pass = 0;
@@ -238,7 +241,7 @@ fn run_observation_checks(baseline: &Metrics, rows: &[(&str, Mechanism, Metrics)
     // Obs 10: decisions are fast.
     check(
         "Obs 10: max decision < 10 ms",
-        rows.iter().all(|(_, _, m)| m.decision_max_us < 10_000.0),
+        latency.count() > 0 && latency.max_us() < 10_000.0,
     );
 
     // Obs 11: CUP methods peak on W2 (accurate notices).

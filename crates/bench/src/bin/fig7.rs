@@ -27,7 +27,7 @@ fn main() {
     for &f in &factors {
         for m in Mechanism::ALL_SIX {
             let cfg = SimConfig::with_mechanism(m).ckpt_factor(f);
-            results.push((f, m, run_averaged_source(&cfg, &source, seeds)));
+            results.push((f, m, run_averaged_source(&cfg, &source, seeds).0));
         }
     }
 

@@ -52,8 +52,6 @@ fn main() {
     let mut rows: Vec<(Mechanism, u64, OutageReport, usize, usize)> = Vec::new();
     for m in Mechanism::ALL_SIX {
         let mut cfg = SimConfig::with_mechanism(m).with_outages(schedule.clone());
-        // Deterministic fingerprint: no wall-clock decision sampling.
-        cfg.measure_decisions = false;
         cfg.paranoid_checks = paranoid;
         let mut outcomes: Vec<SimOutcome> = Vec::new();
         let mut agg = OutageReport::default();

@@ -61,12 +61,6 @@ fn search_space() -> SearchSpace {
     }
 }
 
-fn quiet_base() -> SimConfig {
-    let mut cfg = SimConfig::baseline();
-    cfg.measure_decisions = false;
-    cfg
-}
-
 /// Oracle 3: an identity-action episode opened at the winner's knob
 /// point must reproduce the winner's batch replay bitwise.
 fn assert_environment_parity(lb: &Leaderboard) {
@@ -76,11 +70,11 @@ fn assert_environment_parity(lb: &Leaderboard) {
         .find(|m| m.name() == winner.mechanism)
         .expect("winner is one of the six mechanisms");
     let trace = make_trace(0);
-    let candidate = hws_core::config_for_knobs(&quiet_base(), mechanism, &winner.knobs)
+    let candidate = hws_core::config_for_knobs(&SimConfig::baseline(), mechanism, &winner.knobs)
         .expect("winner materialises");
     let batch = Simulator::run_trace(&candidate, &trace);
 
-    let mut base = quiet_base();
+    let mut base = SimConfig::baseline();
     base.mechanism = mechanism;
     let spec = EnvSpec::new(base)
         .with_interval(SimDuration::from_hours(6))
@@ -113,7 +107,7 @@ fn main() {
 
     // --- Grid: reward = negative bounded slowdown -------------------
     let grid_cfg = SearchConfig::new(
-        quiet_base(),
+        SimConfig::baseline(),
         RewardSpec::neg_bounded_slowdown(),
         (0..seeds).collect(),
     );
@@ -134,7 +128,12 @@ fn main() {
     eprintln!("  grid OK: rerun + sequential byte-identical");
 
     // --- Tournament: reward = capability-weighted turnaround --------
-    let tour_cfg = TournamentConfig::new(quiet_base(), RewardSpec::class_weighted(1.0, 3.0), 3, 2);
+    let tour_cfg = TournamentConfig::new(
+        SimConfig::baseline(),
+        RewardSpec::class_weighted(1.0, 3.0),
+        3,
+        2,
+    );
     let tournament = tournament_search(&space, &tour_cfg, make_trace).expect("tournament");
     let tour_seq = tournament_search(&space, &tour_cfg.clone().sequential(), make_trace)
         .expect("sequential tournament");

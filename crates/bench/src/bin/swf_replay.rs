@@ -9,9 +9,7 @@
 //! averages are reported.
 //!
 //! Writes `BENCH_swf_replay.json` next to `BENCH_decision_latency.json`
-//! at the workspace root (override with `HWS_SWF_REPLAY_JSON=path`;
-//! decision-latency measurement is disabled so the recorded baseline is
-//! deterministic).
+//! at the workspace root (override with `HWS_SWF_REPLAY_JSON=path`).
 //!
 //! ```text
 //! cargo run --release -p hws-bench --bin swf_replay             # bundled fixture
@@ -41,11 +39,7 @@ fn main() {
     let seed_list: Vec<u64> = (0..seeds).collect();
     let mut rows: Vec<(Mechanism, Metrics)> = Vec::new();
     for m in Mechanism::ALL_SIX {
-        let mut cfg = SimConfig::with_mechanism(m);
-        // Wall-clock decision latencies are the one non-simulated metric;
-        // drop them so parallel == sequential holds bitwise and the JSON
-        // baseline is machine-independent.
-        cfg.measure_decisions = false;
+        let cfg = SimConfig::with_mechanism(m);
         let swept = Simulator::run_sweep_with(&cfg, &seed_list, |s| source.make_trace(s));
         let mut avg = MetricsAvg::new();
         for (outcome, &seed) in swept.iter().zip(&seed_list) {

@@ -22,7 +22,7 @@ fn main() {
         source.describe()
     );
 
-    let m = run_averaged_source(&SimConfig::baseline(), &source, seeds);
+    let (m, _) = run_averaged_source(&SimConfig::baseline(), &source, seeds);
 
     let mut t = Table::new(vec![
         "Avg. Turnaround",

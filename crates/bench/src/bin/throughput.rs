@@ -57,10 +57,7 @@ struct Row {
 /// parallel sweep, bitwise sequential-vs-parallel verification, and the
 /// paranoid metric-parity self-check on seed 0.
 fn run_cell(m: Mechanism, source_label: &'static str, traces: &[Trace], seeds: u64) -> Row {
-    let mut cfg = SimConfig::with_mechanism(m);
-    // Wall-clock decision latencies are the one non-simulated metric; drop
-    // them so parallel == sequential == paranoid holds bitwise.
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(m);
 
     let t0 = Instant::now();
     let sequential: Vec<SimOutcome> = traces

@@ -25,7 +25,7 @@ pub use archive::{
 };
 
 use hws_core::{Mechanism, SimConfig, SimOutcome, Simulator};
-use hws_metrics::{Metrics, MetricsAvg};
+use hws_metrics::{LatencyHistogram, Metrics, MetricsAvg};
 use hws_sim::SimDuration;
 use hws_workload::{import_swf_reader, NoticeMix, SwfImportConfig, Trace, TraceConfig};
 use std::fmt::Write as _;
@@ -202,44 +202,54 @@ impl TraceSource {
     }
 }
 
-/// Run `cfg` over `seeds` traces drawn from `source` in parallel and
-/// average the metrics (the paper's averaging protocol). Routed through
-/// [`Simulator::run_sweep_with`], which fans the seeds across CPU cores
-/// while keeping every per-seed result bitwise identical to a sequential
-/// run.
-pub fn run_averaged_source(sim_cfg: &SimConfig, source: &TraceSource, seeds: u64) -> Metrics {
+/// Run `cfg` over `seeds` traces drawn from `source` in parallel, average
+/// the metrics (the paper's averaging protocol) and pool the runs'
+/// decision latencies. Routed through [`Simulator::run_sweep_with`], which
+/// fans the seeds across CPU cores while keeping every per-seed result
+/// bitwise identical to a sequential run.
+pub fn run_averaged_source(
+    sim_cfg: &SimConfig,
+    source: &TraceSource,
+    seeds: u64,
+) -> (Metrics, LatencyHistogram) {
     assert!(seeds > 0);
     let seed_list: Vec<u64> = (0..seeds).collect();
     let outcomes = Simulator::run_sweep_with(sim_cfg, &seed_list, |s| source.make_trace(s));
     let mut avg = MetricsAvg::new();
+    let mut latency = LatencyHistogram::default();
     for outcome in &outcomes {
         avg.push(&outcome.metrics);
+        latency.merge(&outcome.decision_latency);
     }
-    avg.mean()
+    (avg.mean(), latency)
 }
 
 /// Synthetic-only convenience wrapper kept for callers that hold a
 /// [`TraceConfig`] (examples, tests).
 pub fn run_averaged(sim_cfg: &SimConfig, trace_cfg: &TraceConfig, seeds: u64) -> Metrics {
-    run_averaged_source(sim_cfg, &TraceSource::Synthetic(trace_cfg.clone()), seeds)
+    run_averaged_source(sim_cfg, &TraceSource::Synthetic(trace_cfg.clone()), seeds).0
 }
 
 /// Run every (mechanism × workload) cell of Fig. 6 and return
-/// `(workload name, mechanism, averaged metrics)` rows.
+/// `(workload name, mechanism, averaged metrics)` rows, plus every run's
+/// decision latencies pooled.
 pub fn run_fig6_grid(
     source: &TraceSource,
     seeds: u64,
     mechanisms: &[Mechanism],
-) -> Vec<(&'static str, Mechanism, Metrics)> {
+) -> (Vec<(&'static str, Mechanism, Metrics)>, LatencyHistogram) {
     let mut rows = Vec::new();
+    let mut latency = LatencyHistogram::default();
     for (wname, mix) in NoticeMix::TABLE3 {
         let wsource = source.clone().with_notice_mix(mix);
         for &m in mechanisms {
             let scfg = SimConfig::with_mechanism(m);
-            rows.push((wname, m, run_averaged_source(&scfg, &wsource, seeds)));
+            let (metrics, lat) = run_averaged_source(&scfg, &wsource, seeds);
+            rows.push((wname, m, metrics));
+            latency.merge(&lat);
         }
     }
-    rows
+    (rows, latency)
 }
 
 /// FNV-1a over arbitrary bytes; the workspace's standard cheap stable
@@ -360,8 +370,7 @@ mod tests {
         // The swf_replay acceptance bar, at test scale: parallel sweeping
         // over the imported fixture must not perturb any per-seed metric.
         let src = TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default());
-        let mut cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
-        cfg.measure_decisions = false;
+        let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
         let seeds = [0u64, 1];
         let swept = Simulator::run_sweep_with(&cfg, &seeds, |s| src.make_trace(s));
         for (out, &seed) in swept.iter().zip(&seeds) {
@@ -380,8 +389,7 @@ mod tests {
         let src = TraceSource::swf(bundled_swf_fixture(), SwfImportConfig::default());
         let trace = src.make_trace(0);
         let swf = hws_workload::to_swf(&trace, &hws_workload::SwfExportConfig::default());
-        let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
-        cfg.measure_decisions = false;
+        let cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
         let materialized = Simulator::run_trace(&cfg, &trace);
         let streamed = Simulator::run_source(
             &cfg,

@@ -180,8 +180,6 @@ pub struct SimConfig {
     pub instant_threshold: SimDuration,
     pub victim_order: VictimOrder,
     pub shrink_strategy: ShrinkStrategy,
-    /// Record wall-clock decision latency (Observation 10).
-    pub measure_decisions: bool,
     /// Verify cluster invariants after every event (slow; tests only).
     pub paranoid_checks: bool,
     /// Record a schedule timeline (Gantt-renderable; small scenarios only —
@@ -226,7 +224,6 @@ impl Default for SimConfig {
             instant_threshold: SimDuration::from_secs(120),
             victim_order: VictimOrder::Overhead,
             shrink_strategy: ShrinkStrategy::EvenWaterFill,
-            measure_decisions: true,
             paranoid_checks: false,
             record_timeline: false,
             hooks: None,

@@ -193,9 +193,7 @@ impl<B: ClusterBackend> SimCore<B> {
             Ev::ReservationTimeout(j),
         );
         self.timeout_ev.insert(j, ev);
-        if self.cfg.measure_decisions {
-            self.rec.add_decision(started.elapsed());
-        }
+        self.decision_latency.record(started.elapsed());
     }
 
     /// Running jobs eligible as preemption victims (never on-demand jobs,
@@ -395,9 +393,7 @@ impl<B: ClusterBackend> SimCore<B> {
         self.enqueue_waiting(j);
         self.offer_free_nodes(now);
         self.request_pass(now, q);
-        if self.cfg.measure_decisions {
-            self.rec.add_decision(started.elapsed());
-        }
+        self.decision_latency.record(started.elapsed());
     }
 
     /// Execute an arrival plan: shrinks first, then preemptions, recording

@@ -20,7 +20,7 @@ use crate::jobtable::JobTable;
 use crate::policy::QueueKey;
 use crate::timeline::{Timeline, TimelineEvent};
 use hws_cluster::{Cluster, ClusterBackend, LeaseLedger};
-use hws_metrics::{Recorder, ShardStat};
+use hws_metrics::{LatencyHistogram, Recorder, ShardStat};
 use hws_sim::{EventId, EventQueue, SimDuration, SimTime};
 use hws_workload::{IdMap, JobClass, JobId, JobKind, JobSpec};
 use std::cell::RefCell;
@@ -90,6 +90,9 @@ pub struct SimCore<B: ClusterBackend = Cluster> {
     pub(super) outage: Option<OutageState>,
     pub rec: Recorder,
     pub timeline: Timeline,
+    /// Wall-clock cost of each notice and on-demand-arrival decision
+    /// (Observation 10). Not simulated state, so never snapshotted.
+    pub(super) decision_latency: LatencyHistogram,
 }
 
 /// Scratch buffers recycled across scheduling passes so the hot path does
@@ -162,6 +165,7 @@ impl<B: ClusterBackend> SimCore<B> {
             track_shards,
             outage,
             timeline: Timeline::new(),
+            decision_latency: LatencyHistogram::default(),
         }
     }
 

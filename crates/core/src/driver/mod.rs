@@ -52,7 +52,7 @@ pub use service::{replay_submission_log, CancelOutcome, JobStatus, SchedulerServ
 use crate::config::{Mechanism, SimConfig};
 use crate::timeline::Timeline;
 use hws_cluster::{Federation, SnapshotBackend};
-use hws_metrics::{ClassBreakdown, Metrics, OutageReport, Recorder, ShardStat};
+use hws_metrics::{ClassBreakdown, LatencyHistogram, Metrics, OutageReport, Recorder, ShardStat};
 use hws_sim::EngineStats;
 use hws_workload::{JobSource, MaterializedSource, Trace, TraceConfig};
 
@@ -85,6 +85,10 @@ pub struct SimOutcome {
     pub peak_resident_jobs: usize,
     /// Total jobs admitted over the run (equals the trace length).
     pub admitted_jobs: u64,
+    /// Wall-clock cost of every notice and on-demand-arrival decision
+    /// (Observation 10); outside [`Metrics`] because wall-clock time is
+    /// not simulated state. A restored service starts an empty histogram.
+    pub decision_latency: LatencyHistogram,
 }
 
 /// Public façade: configure once, replay traces.
@@ -157,10 +161,10 @@ impl Simulator {
     ///
     /// Every run is an independent simulation over its own trace, so the
     /// per-seed metrics are **bitwise identical** to sequential
-    /// [`Simulator::run_trace`] calls (wall-clock decision latencies are the
-    /// one legitimate exception; disable `measure_decisions` for strict
-    /// equality). The figure/table binaries in `hws-bench` route through
-    /// this entry point.
+    /// [`Simulator::run_trace`] calls (only the wall-clock
+    /// [`SimOutcome::decision_latency`] side report differs). The
+    /// figure/table binaries in `hws-bench` route through this entry
+    /// point.
     pub fn run_sweep(cfg: &SimConfig, trace_cfg: &TraceConfig, seeds: &[u64]) -> Vec<SimOutcome> {
         Simulator::run_sweep_with(cfg, seeds, |seed| trace_cfg.generate(seed))
     }

@@ -446,6 +446,7 @@ where
             peak_resident_jobs: core.jobs().peak_live(),
             admitted_jobs: core.jobs().admitted(),
             timeline: core.cfg.record_timeline.then_some(core.timeline),
+            decision_latency: core.decision_latency,
         }
     }
 
@@ -621,9 +622,6 @@ where
             let cfg = SimConfig {
                 mechanism: m,
                 hooks: None,
-                // Wall-clock decision timing is meaningless in a
-                // speculative fork; keep forks fully deterministic.
-                measure_decisions: false,
                 ..self.engine.sim.cfg.clone()
             };
             let mut fork = SchedulerService::<B>::restore(&image, &cfg, self.ctx.clone())

@@ -1,7 +1,7 @@
 //! Whole-simulation snapshot/restore: the byte format behind
 //! [`super::SchedulerService::snapshot`].
 //!
-//! ## Format (version 1)
+//! ## Format (version `SNAP_VERSION`, below)
 //!
 //! One version byte, then the engine scalars (`now`, `delivered`), the
 //! event queue (entries sorted by `(time, seq)` plus the dynamic-lane
@@ -10,13 +10,15 @@
 //! Every unordered collection is serialized in sorted order so identical
 //! states produce identical bytes regardless of hash-map history.
 //!
-//! Two things are deliberately **not** in the stream:
+//! Three things are deliberately **not** in the stream:
 //!
 //! * the mechanism/config — restore takes a [`SimConfig`] as context, and
 //!   the what-if forecaster exploits this by restoring one snapshot under
 //!   each candidate mechanism;
 //! * the hooks object — code, not data; rebuilt by
-//!   [`hooks_for`](super::hooks::hooks_for) from the restore config.
+//!   [`hooks_for`](super::hooks::hooks_for) from the restore config;
+//! * the decision-latency histogram — wall-clock time, not state; a
+//!   restored core starts with an empty one.
 //!
 //! The contract tested here and in the service layer: restore followed by
 //! draining the simulation is bitwise-identical (metrics fingerprint) to
@@ -28,7 +30,7 @@ use super::hooks::hooks_for;
 use crate::config::SimConfig;
 use crate::timeline::{Timeline, TimelineEvent};
 use hws_cluster::{LeaseLedger, SnapshotBackend};
-use hws_metrics::Recorder;
+use hws_metrics::{LatencyHistogram, Recorder};
 use hws_sim::snap::{SnapError, SnapReader, SnapWriter};
 use hws_sim::{Engine, EventId, EventQueue, QueueSnapshot, SimTime};
 use hws_workload::{IdMap, JobId};
@@ -41,8 +43,9 @@ use std::collections::BTreeSet;
 /// now stores the waiting ids in priority order followed by the key
 /// epoch, and restore *rebuilds* the index by recomputing every key from
 /// the restored specs, `od_front`, and that epoch — a byte fixed point,
-/// because recomputed keys reproduce the recorded order exactly.
-const SNAP_VERSION: u8 = 3;
+/// because recomputed keys reproduce the recorded order exactly. Version
+/// 4 dropped the recorder's per-decision wall-clock list.
+pub(super) const SNAP_VERSION: u8 = 4;
 
 // ---------------------------------------------------------------------
 // Event codec.
@@ -537,6 +540,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         outage,
         rec,
         timeline,
+        decision_latency: LatencyHistogram::default(),
     };
     // Rebuild the waiting-queue index: recompute each key from the
     // restored spec, od_front membership, and the recorded epoch. Every

@@ -471,15 +471,8 @@ fn backfill_on_reserved_nodes_evicted_at_arrival() {
 fn determinism_same_seed_same_metrics() {
     let tr = TraceConfig::tiny().generate(3);
     let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
-    let mut a = Simulator::run_trace(&cfg, &tr);
-    let mut b = Simulator::run_trace(&cfg, &tr);
-    // Decision latencies are wall-clock measurements and legitimately
-    // vary between runs; every simulated quantity must be identical.
-    for m in [&mut a.metrics, &mut b.metrics] {
-        m.decision_mean_us = 0.0;
-        m.decision_p99_us = 0.0;
-        m.decision_max_us = 0.0;
-    }
+    let a = Simulator::run_trace(&cfg, &tr);
+    let b = Simulator::run_trace(&cfg, &tr);
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.engine.delivered, b.engine.delivered);
 }
@@ -504,12 +497,45 @@ fn all_six_mechanisms_run_tiny_trace_clean() {
 #[test]
 fn decision_latency_recorded_and_fast() {
     let tr = TraceConfig::tiny().generate(9);
+    let od = tr.count_kind(hws_workload::JobKind::OnDemand) as u64;
+    assert!(od > 0, "trace must carry on-demand jobs");
     let cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
-    let out = Simulator::run_trace(&cfg, &tr);
-    if out.metrics.decision_max_us > 0.0 {
-        // Observation 10: decisions well under 10 ms.
-        assert!(out.metrics.decision_max_us < 10_000.0);
+    let lat = Simulator::run_trace(&cfg, &tr).decision_latency;
+    // Every on-demand arrival is one timed decision (notices add more).
+    assert!(
+        lat.count() >= od,
+        "{} decisions for {od} arrivals",
+        lat.count()
+    );
+    // Observation 10: decisions well under 10 ms.
+    assert!(lat.max_us() < 10_000.0, "max decision {} µs", lat.max_us());
+}
+
+#[test]
+fn snapshot_of_another_version_is_rejected_naming_both_versions() {
+    use super::snapshot::SNAP_VERSION;
+    let tr = TraceConfig::tiny().generate(2);
+    let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
+    let mut svc = SchedulerService::from_core(SimCore::new(cfg.clone(), tr.system_size), ());
+    for spec in tr.jobs.iter().cloned() {
+        svc.inject(spec);
     }
+    svc.step_until(t(86_400));
+    let mut image = svc.snapshot();
+    // Service version byte, then the engine image behind its u64 length.
+    const ENGINE_VERSION_AT: usize = 1 + 8;
+    assert_eq!(image[ENGINE_VERSION_AT], SNAP_VERSION);
+    assert!(SchedulerService::<hws_cluster::Cluster>::restore(&image, &cfg, ()).is_ok());
+    let other = SNAP_VERSION + 1;
+    image[ENGINE_VERSION_AT] = other;
+    let err = SchedulerService::<hws_cluster::Cluster>::restore(&image, &cfg, ())
+        .err()
+        .expect("a version-skewed image must not restore")
+        .to_string();
+    assert!(
+        err.contains(&format!("version {other}")) && err.contains(&format!("reads {SNAP_VERSION}")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -561,8 +587,7 @@ fn scratch_capacity_released_after_queue_spike() {
         })
         .collect();
     let tr = trace(64, jobs);
-    let mut cfg = SimConfig::with_mechanism(Mechanism::N_PAA);
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(Mechanism::N_PAA);
     let mut svc = SchedulerService::from_core(SimCore::new(cfg, tr.system_size), ());
     for spec in tr.jobs.iter().cloned() {
         svc.inject(spec);

@@ -33,8 +33,7 @@ fn run_sweep_matches_sequential_bitwise() {
     // of any per-seed metric.
     let tcfg = TraceConfig::tiny();
     for mechanism in [Mechanism::Baseline, Mechanism::CUA_SPAA, Mechanism::CUP_PAA] {
-        let mut cfg = SimConfig::with_mechanism(mechanism);
-        cfg.measure_decisions = false; // wall-clock latencies are not simulated state
+        let cfg = SimConfig::with_mechanism(mechanism);
         let seeds = [11u64, 12, 13, 14, 15];
         let swept = Simulator::run_sweep(&cfg, &tcfg, &seeds);
         assert_eq!(swept.len(), seeds.len());
@@ -65,8 +64,7 @@ fn run_sweep_with_arbitrary_factory_matches_sequential() {
         };
         TraceConfig::tiny().with_notice_mix(mix).generate(seed)
     };
-    let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
     let seeds = [3u64, 4, 5, 6];
     let swept = Simulator::run_sweep_with(&cfg, &seeds, make);
     assert_eq!(swept.len(), seeds.len());
@@ -82,9 +80,8 @@ fn explicit_hooks_match_enum_mechanisms() {
     // Registering the standard compositions through `with_hooks` must be
     // indistinguishable from selecting the mechanism enum.
     let tr = TraceConfig::tiny().generate(21);
-    let mut by_enum = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
-    by_enum.measure_decisions = false;
-    let mut by_hooks = SimConfig::with_hooks(Composed::new(
+    let by_enum = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
+    let by_hooks = SimConfig::with_hooks(Composed::new(
         "CUA&SPAA",
         CollectUntilArrival,
         ShrinkThenPreempt {
@@ -94,7 +91,6 @@ fn explicit_hooks_match_enum_mechanisms() {
             },
         },
     ));
-    by_hooks.measure_decisions = false;
     let a = Simulator::run_trace(&by_enum, &tr);
     let b = Simulator::run_trace(&by_hooks, &tr);
     assert_eq!(a.metrics, b.metrics);

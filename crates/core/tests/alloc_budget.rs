@@ -80,8 +80,7 @@ fn job_table_steady_state_is_allocation_free() {
 #[test]
 fn per_event_allocation_budget_holds() {
     let trace = TraceConfig::tiny().with_jobs(2_000).generate(11);
-    let mut cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
     // Warm-up run: fault in lazy statics, grow thread-local caches.
     let _ = Simulator::run_trace(&cfg, &trace);
     let before = allocation_count();

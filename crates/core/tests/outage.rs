@@ -35,14 +35,12 @@ use proptest::prelude::*;
 
 fn cfg_for(mechanism: Mechanism) -> SimConfig {
     let mut cfg = SimConfig::with_mechanism(mechanism);
-    cfg.measure_decisions = false;
     cfg.paranoid_checks = true;
     cfg
 }
 
 fn capability_cfg() -> SimConfig {
     let mut cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUP_SPAA));
-    cfg.measure_decisions = false;
     cfg.paranoid_checks = true;
     cfg
 }
@@ -80,11 +78,7 @@ proptest! {
     fn empty_schedule_is_bitwise_invisible(seed in 0..1_000u64, jobs in 30..100u32) {
         let trace = TraceConfig::tiny().with_jobs(jobs).with_capability_frac(0.15).generate(seed);
         let mut cfgs: Vec<(String, SimConfig)> = vec![
-            ("baseline".into(), {
-                let mut c = SimConfig::baseline();
-                c.measure_decisions = false;
-                c
-            }),
+            ("baseline".into(), SimConfig::baseline()),
             ("capability-aware".into(), capability_cfg()),
             (
                 "2-shard federation".into(),

@@ -26,7 +26,6 @@ use proptest::prelude::*;
 
 fn cfg_for(mechanism: Mechanism) -> SimConfig {
     let mut cfg = SimConfig::with_mechanism(mechanism);
-    cfg.measure_decisions = false;
     // Every contract here also runs the O(n)-scan cross-validating
     // cluster accounting: the logs are small enough that paranoia is
     // nearly free, and a restore that corrupted occupancy must trip an
@@ -135,7 +134,6 @@ fn assert_snapshot_transparent(cfg: &SimConfig, log: &SubmissionLog, cut: usize,
 
 fn capability_cfg() -> SimConfig {
     let mut cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUP_SPAA));
-    cfg.measure_decisions = false;
     cfg.paranoid_checks = true;
     cfg
 }
@@ -152,8 +150,7 @@ proptest! {
         let log = SubmissionLog::from_trace(&trace);
         let cancelled = with_buffered_cancels(&log, 5);
         {
-            let mut cfg = SimConfig::baseline();
-            cfg.measure_decisions = false;
+            let cfg = SimConfig::baseline();
             assert_parity(&cfg, &log, "baseline");
             assert_parity(&cfg, &cancelled, "baseline+cancels");
         }
@@ -216,6 +213,24 @@ fn what_if_leaves_no_trace() {
     }
     assert_eq!(svc.snapshot(), before, "what_if perturbed the live session");
     assert_eq!(svc.query(probe.id), JobStatus::Unknown);
+}
+
+/// Wall-clock time is not state: two default-config services fed the same
+/// log snapshot to the same bytes, however long their decisions took.
+#[test]
+fn same_log_snapshots_to_identical_bytes() {
+    let trace = TraceConfig::tiny().with_jobs(60).generate(5);
+    assert!(trace.count_kind(hws_workload::JobKind::OnDemand) > 0);
+    let log = SubmissionLog::from_trace(&trace);
+    let image = || {
+        let mut svc = SchedulerService::new(SimConfig::default(), log.system_size());
+        for e in log.entries() {
+            svc.apply(e).expect("entry applies");
+        }
+        svc.step_until(SimTime::from_secs(log.horizon().as_secs()));
+        svc.snapshot()
+    };
+    assert_eq!(image(), image());
 }
 
 /// No length field of a service image can size an allocation beyond the

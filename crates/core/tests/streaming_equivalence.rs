@@ -15,14 +15,6 @@ use hws_workload::job::JobSpecBuilder;
 use hws_workload::{to_swf, SwfExportConfig, SwfStreamSource, Trace, TraceConfig};
 use proptest::prelude::*;
 
-/// Wall-clock decision latencies are the one documented exception to
-/// bitwise equality; everything else must match exactly.
-fn cfg_for(mechanism: Mechanism) -> SimConfig {
-    let mut cfg = SimConfig::with_mechanism(mechanism);
-    cfg.measure_decisions = false;
-    cfg
-}
-
 /// Stream `trace` back out of its own embedded SWF export.
 fn stream_of(trace: &Trace) -> SwfStreamSource<std::io::BufReader<&[u8]>> {
     let swf = to_swf(trace, &SwfExportConfig::default());
@@ -31,7 +23,7 @@ fn stream_of(trace: &Trace) -> SwfStreamSource<std::io::BufReader<&[u8]>> {
 }
 
 fn assert_identical(trace: &Trace, mechanism: Mechanism) {
-    let cfg = cfg_for(mechanism);
+    let cfg = SimConfig::with_mechanism(mechanism);
     let materialized = Simulator::run_trace(&cfg, trace);
     let streamed = Simulator::run_source(&cfg, stream_of(trace));
     assert_eq!(
@@ -70,8 +62,7 @@ proptest! {
 #[test]
 fn baseline_streams_identically() {
     let trace = TraceConfig::tiny().generate(7);
-    let mut cfg = SimConfig::baseline();
-    cfg.measure_decisions = false;
+    let cfg = SimConfig::baseline();
     let materialized = Simulator::run_trace(&cfg, &trace);
     let streamed = Simulator::run_source(&cfg, stream_of(&trace));
     assert_eq!(materialized.metrics, streamed.metrics);
@@ -95,7 +86,8 @@ fn capability_classes_stream_identically() {
 fn two_shard_federation_streams_identically() {
     let trace = TraceConfig::tiny().with_jobs(300).generate(5);
     for mechanism in Mechanism::ALL_SIX {
-        let cfg = cfg_for(mechanism).federated(FederationConfig::even_split(2, trace.system_size));
+        let cfg = SimConfig::with_mechanism(mechanism)
+            .federated(FederationConfig::even_split(2, trace.system_size));
         let materialized = Simulator::run_trace(&cfg, &trace);
         let streamed = Simulator::run_source(&cfg, stream_of(&trace));
         assert_eq!(materialized.metrics, streamed.metrics, "{mechanism:?}");
@@ -136,7 +128,7 @@ fn peak_resident_jobs_tracks_live_window_not_trace_length() {
     let total = jobs.len() as u64;
     let trace = Trace::new(64, SimDuration::from_days(BURSTS + 1), jobs);
 
-    let cfg = cfg_for(Mechanism::CUA_PAA);
+    let cfg = SimConfig::with_mechanism(Mechanism::CUA_PAA);
     let materialized = Simulator::run_trace(&cfg, &trace);
     let streamed = Simulator::run_source(&cfg, stream_of(&trace));
 

@@ -31,19 +31,16 @@ const POLICIES: [PolicyKind; 4] = [
 fn configs() -> Vec<(String, SimConfig)> {
     let mut cfgs: Vec<(String, SimConfig)> = Vec::new();
     for m in Mechanism::ALL_SIX {
-        let mut c = SimConfig::with_mechanism(m);
-        c.measure_decisions = false;
+        let c = SimConfig::with_mechanism(m);
         cfgs.push((m.name().into(), c));
     }
     for p in POLICIES {
         let mut c = SimConfig::with_mechanism(Mechanism::CUP_SPAA);
         c.policy = p;
-        c.measure_decisions = false;
         cfgs.push((format!("CUP&SPAA/{}", p.name()), c));
 
         let mut cap = SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUP_SPAA));
         cap.policy = p;
-        cap.measure_decisions = false;
         cfgs.push((format!("capability/{}", p.name()), cap));
     }
     cfgs

@@ -18,6 +18,7 @@
 //! averages reports across seeds the way the paper averages ten traces.
 
 pub mod classes;
+pub mod latency;
 pub mod outage;
 pub mod record;
 pub mod reward;
@@ -26,6 +27,7 @@ pub mod summary;
 pub mod table;
 
 pub use classes::{ClassAcc, ClassBreakdown, ClassStats};
+pub use latency::LatencyHistogram;
 pub use outage::OutageReport;
 pub use record::{JobRecord, Recorder};
 pub use reward::{RewardKind, RewardSpec};

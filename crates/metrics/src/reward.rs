@@ -3,8 +3,8 @@
 //!
 //! Rewards are **maximised**, so cost-like metrics (bounded slowdown,
 //! turnaround) enter negated. Every fold is a pure function of the
-//! deterministic metric fields — wall-clock decision latencies are never
-//! read — so identical runs score identically bitwise.
+//! metric fields, all deterministic (wall-clock decision latency is kept
+//! outside [`Metrics`]), so identical runs score identically bitwise.
 //!
 //! ## The absent-breakdown case
 //!

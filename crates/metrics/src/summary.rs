@@ -35,11 +35,6 @@ pub struct Metrics {
     pub completed_jobs: usize,
     pub killed_jobs: usize,
     pub span_hours: f64,
-    /// Mean / p99 / max wall-clock cost of a mechanism decision, in
-    /// microseconds (Observation 10: must stay far below 10 ms).
-    pub decision_mean_us: f64,
-    pub decision_p99_us: f64,
-    pub decision_max_us: f64,
     /// Mean queueing delay before the first start, hours.
     pub avg_wait_h: f64,
     /// Mean bounded slowdown (10-second runtime floor).
@@ -78,6 +73,15 @@ pub struct MetricsAcc {
     slow_n: usize,
     cat_inst: [(usize, usize); 4],
     total_failures: u64,
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
 }
 
 impl MetricsAcc {
@@ -160,24 +164,14 @@ impl MetricsAcc {
     }
 
     /// Combine the folded per-job state with the recorder's run-level
-    /// aggregates (span, occupancy, decision latencies) into the report.
+    /// aggregates (span, occupancy) into the report.
     pub fn finish(&self, rec: &Recorder) -> Metrics {
-        let instant_by_category = self
-            .cat_inst
-            .map(|(i, n)| if n > 0 { i as f64 / n as f64 } else { 0.0 });
+        let instant_by_category = self.cat_inst.map(|(i, n)| ratio(i as f64, n as f64));
 
         let kind_stats = |i: usize| KindStats {
             completed: self.per[i].1,
-            avg_turnaround_h: if self.per[i].1 > 0 {
-                self.per[i].0 / self.per[i].1 as f64
-            } else {
-                0.0
-            },
-            preemption_ratio: if self.per[i].3 > 0 {
-                self.per[i].2 as f64 / self.per[i].3 as f64
-            } else {
-                0.0
-            },
+            avg_turnaround_h: ratio(self.per[i].0, self.per[i].1 as f64),
+            preemption_ratio: ratio(self.per[i].2 as f64, self.per[i].3 as f64),
         };
 
         let (span_hours, capacity_ns) = match rec.span() {
@@ -193,68 +187,23 @@ impl MetricsAcc {
         let useful = rec
             .occupied_node_seconds()
             .saturating_sub(rec.wasted_node_seconds());
-        let utilization = if capacity_ns > 0 {
-            useful as f64 / capacity_ns as f64
-        } else {
-            0.0
-        };
-        let raw_occupancy = if capacity_ns > 0 {
-            rec.occupied_node_seconds() as f64 / capacity_ns as f64
-        } else {
-            0.0
-        };
-
-        let mut d: Vec<u64> = rec.decision_nanos().to_vec();
-        d.sort_unstable();
-        let decision_mean_us = if d.is_empty() {
-            0.0
-        } else {
-            d.iter().sum::<u64>() as f64 / d.len() as f64 / 1_000.0
-        };
-        let decision_p99_us = if d.is_empty() {
-            0.0
-        } else {
-            d[(d.len() - 1).min(d.len() * 99 / 100)] as f64 / 1_000.0
-        };
-        let decision_max_us = d.last().copied().unwrap_or(0) as f64 / 1_000.0;
+        let utilization = ratio(useful as f64, capacity_ns as f64);
+        let raw_occupancy = ratio(rec.occupied_node_seconds() as f64, capacity_ns as f64);
 
         Metrics {
-            avg_turnaround_h: if self.n_completed > 0 {
-                self.sum_tat / self.n_completed as f64
-            } else {
-                0.0
-            },
+            avg_turnaround_h: ratio(self.sum_tat, self.n_completed as f64),
             rigid: kind_stats(0),
             on_demand: kind_stats(1),
             malleable: kind_stats(2),
-            instant_start_rate: if self.od_total > 0 {
-                self.od_instant as f64 / self.od_total as f64
-            } else {
-                0.0
-            },
-            strict_instant_rate: if self.od_total > 0 {
-                self.od_strict as f64 / self.od_total as f64
-            } else {
-                0.0
-            },
+            instant_start_rate: ratio(self.od_instant as f64, self.od_total as f64),
+            strict_instant_rate: ratio(self.od_strict as f64, self.od_total as f64),
             utilization,
             raw_occupancy,
             completed_jobs: self.n_completed,
             killed_jobs: self.killed,
             span_hours,
-            decision_mean_us,
-            decision_p99_us,
-            decision_max_us,
-            avg_wait_h: if self.wait_n > 0 {
-                self.wait_sum / self.wait_n as f64
-            } else {
-                0.0
-            },
-            avg_bounded_slowdown: if self.slow_n > 0 {
-                self.slow_sum / self.slow_n as f64
-            } else {
-                0.0
-            },
+            avg_wait_h: ratio(self.wait_sum, self.wait_n as f64),
+            avg_bounded_slowdown: ratio(self.slow_sum, self.slow_n as f64),
             instant_by_category,
             total_failures: self.total_failures,
         }
@@ -307,11 +256,48 @@ impl Metrics {
 }
 
 /// Streaming average of [`Metrics`] across seeds (the paper repeats each
-/// experiment on ten randomly generated traces and averages).
+/// experiment on ten randomly generated traces and averages). Counts sum
+/// exactly; their mean is truncated to an integer.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsAvg {
     n: usize,
-    sums: Vec<f64>,
+    sum: Metrics,
+}
+
+/// Field-wise combination of two reports: `f` on every float field, `g` on
+/// every count. One list of fields, so summing and averaging cannot pair
+/// different fields.
+fn zip_fields(
+    a: &Metrics,
+    b: &Metrics,
+    f: impl Fn(f64, f64) -> f64,
+    g: impl Fn(u64, u64) -> u64,
+) -> Metrics {
+    let count = |x: usize, y: usize| g(x as u64, y as u64) as usize;
+    let kind = |x: &KindStats, y: &KindStats| KindStats {
+        completed: count(x.completed, y.completed),
+        avg_turnaround_h: f(x.avg_turnaround_h, y.avg_turnaround_h),
+        preemption_ratio: f(x.preemption_ratio, y.preemption_ratio),
+    };
+    Metrics {
+        avg_turnaround_h: f(a.avg_turnaround_h, b.avg_turnaround_h),
+        rigid: kind(&a.rigid, &b.rigid),
+        on_demand: kind(&a.on_demand, &b.on_demand),
+        malleable: kind(&a.malleable, &b.malleable),
+        instant_start_rate: f(a.instant_start_rate, b.instant_start_rate),
+        strict_instant_rate: f(a.strict_instant_rate, b.strict_instant_rate),
+        utilization: f(a.utilization, b.utilization),
+        raw_occupancy: f(a.raw_occupancy, b.raw_occupancy),
+        completed_jobs: count(a.completed_jobs, b.completed_jobs),
+        killed_jobs: count(a.killed_jobs, b.killed_jobs),
+        span_hours: f(a.span_hours, b.span_hours),
+        avg_wait_h: f(a.avg_wait_h, b.avg_wait_h),
+        avg_bounded_slowdown: f(a.avg_bounded_slowdown, b.avg_bounded_slowdown),
+        instant_by_category: std::array::from_fn(|i| {
+            f(a.instant_by_category[i], b.instant_by_category[i])
+        }),
+        total_failures: g(a.total_failures, b.total_failures),
+    }
 }
 
 impl MetricsAvg {
@@ -319,46 +305,8 @@ impl MetricsAvg {
         Self::default()
     }
 
-    fn fields(m: &Metrics) -> Vec<f64> {
-        vec![
-            m.avg_turnaround_h,
-            m.rigid.avg_turnaround_h,
-            m.on_demand.avg_turnaround_h,
-            m.malleable.avg_turnaround_h,
-            m.instant_start_rate,
-            m.strict_instant_rate,
-            m.utilization,
-            m.raw_occupancy,
-            m.rigid.preemption_ratio,
-            m.malleable.preemption_ratio,
-            m.completed_jobs as f64,
-            m.killed_jobs as f64,
-            m.span_hours,
-            m.decision_mean_us,
-            m.decision_p99_us,
-            m.decision_max_us,
-            m.rigid.completed as f64,
-            m.on_demand.completed as f64,
-            m.malleable.completed as f64,
-            m.on_demand.preemption_ratio,
-            m.avg_wait_h,
-            m.avg_bounded_slowdown,
-            m.instant_by_category[0],
-            m.instant_by_category[1],
-            m.instant_by_category[2],
-            m.instant_by_category[3],
-            m.total_failures as f64,
-        ]
-    }
-
     pub fn push(&mut self, m: &Metrics) {
-        let f = Self::fields(m);
-        if self.sums.is_empty() {
-            self.sums = vec![0.0; f.len()];
-        }
-        for (s, v) in self.sums.iter_mut().zip(f) {
-            *s += v;
-        }
+        self.sum = zip_fields(&self.sum, m, |s, x| s + x, |s, x| s + x);
         self.n += 1;
     }
 
@@ -373,39 +321,13 @@ impl MetricsAvg {
     /// Panics when no samples were pushed.
     pub fn mean(&self) -> Metrics {
         assert!(self.n > 0, "no samples");
-        let a: Vec<f64> = self.sums.iter().map(|s| s / self.n as f64).collect();
-        Metrics {
-            avg_turnaround_h: a[0],
-            rigid: KindStats {
-                completed: a[16] as usize,
-                avg_turnaround_h: a[1],
-                preemption_ratio: a[8],
-            },
-            on_demand: KindStats {
-                completed: a[17] as usize,
-                avg_turnaround_h: a[2],
-                preemption_ratio: a[19],
-            },
-            malleable: KindStats {
-                completed: a[18] as usize,
-                avg_turnaround_h: a[3],
-                preemption_ratio: a[9],
-            },
-            instant_start_rate: a[4],
-            strict_instant_rate: a[5],
-            utilization: a[6],
-            raw_occupancy: a[7],
-            completed_jobs: a[10] as usize,
-            killed_jobs: a[11] as usize,
-            span_hours: a[12],
-            decision_mean_us: a[13],
-            decision_p99_us: a[14],
-            decision_max_us: a[15],
-            avg_wait_h: a[20],
-            avg_bounded_slowdown: a[21],
-            instant_by_category: [a[22], a[23], a[24], a[25]],
-            total_failures: a[26] as u64,
-        }
+        let n = self.n as f64;
+        zip_fields(
+            &self.sum,
+            &self.sum,
+            |s, _| s / n,
+            |s, _| (s as f64 / n) as u64,
+        )
     }
 }
 
@@ -501,18 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_percentiles() {
-        let mut rec = Recorder::new(10);
-        for us in 1..=100u64 {
-            rec.add_decision(std::time::Duration::from_micros(us));
-        }
-        let m = Metrics::compute(&rec, threshold());
-        assert!((m.decision_mean_us - 50.5).abs() < 1e-9);
-        assert!((m.decision_max_us - 100.0).abs() < 1e-9);
-        assert!(m.decision_p99_us >= 99.0);
-    }
-
-    #[test]
     fn averaging_across_runs() {
         let mut rec1 = Recorder::new(10);
         rec1.job_submitted(JobId(1), JobKind::Rigid, 1, t(0));
@@ -535,6 +445,37 @@ mod tests {
         let m = avg.mean();
         assert!((m.avg_turnaround_h - 2.0).abs() < 1e-9); // (1 + 3) / 2
         assert!((m.utilization - 0.75).abs() < 1e-9); // (1.0 + 0.5) / 2
+    }
+
+    #[test]
+    fn mean_of_one_sample_returns_every_field_unchanged() {
+        // A distinct value per field: any slot mix-up in the hand-numbered
+        // `fields`/`mean` mapping swaps two of them.
+        let kind = |c: usize, tat: f64, pr: f64| KindStats {
+            completed: c,
+            avg_turnaround_h: tat,
+            preemption_ratio: pr,
+        };
+        let m = Metrics {
+            avg_turnaround_h: 1.5,
+            rigid: kind(2, 3.5, 4.5),
+            on_demand: kind(5, 6.5, 7.5),
+            malleable: kind(8, 9.5, 10.5),
+            instant_start_rate: 11.5,
+            strict_instant_rate: 12.5,
+            utilization: 13.5,
+            raw_occupancy: 14.5,
+            completed_jobs: 15,
+            killed_jobs: 16,
+            span_hours: 17.5,
+            avg_wait_h: 18.5,
+            avg_bounded_slowdown: 19.5,
+            instant_by_category: [20.5, 21.5, 22.5, 23.5],
+            total_failures: 24,
+        };
+        let mut avg = MetricsAvg::new();
+        avg.push(&m);
+        assert_eq!(avg.mean(), m);
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! `Simulator::run_sweep` — and fold results in candidate/seed index
 //! order, so a parallel search is **bitwise identical** to a sequential
 //! one, and two runs of the same (space, seeds) produce byte-identical
-//! [`Leaderboard`] artifacts. Wall-clock decision latencies are forced
-//! off for every candidate to keep the claim exact.
+//! [`Leaderboard`] artifacts. Wall-clock decision latency lives outside
+//! the metrics (`SimOutcome::decision_latency`), so it never reaches a
+//! reward or a fingerprint.
 
 pub mod leaderboard;
 pub mod space;

@@ -107,18 +107,11 @@ where
     }
 }
 
-/// Materialise every candidate over `base`, with decision-latency
-/// measurement forced off (wall-clock must never enter the artifact).
+/// Materialise every candidate over `base`.
 fn materialize(candidates: &[Candidate], base: &SimConfig) -> Result<Vec<SimConfig>, String> {
     candidates
         .iter()
-        .map(|c| {
-            let mut cfg = c
-                .to_config(base)
-                .map_err(|e| format!("{}: {e}", c.label()))?;
-            cfg.measure_decisions = false;
-            Ok(cfg)
-        })
+        .map(|c| c.to_config(base).map_err(|e| format!("{}: {e}", c.label())))
         .collect()
 }
 

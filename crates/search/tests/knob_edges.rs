@@ -65,9 +65,8 @@ proptest! {
         prop_assert_eq!(&KnobVector::from_text(&knobs.to_text()).unwrap(), &knobs);
 
         let trace = edge_trace(seed);
-        let mut base = SimConfig::baseline()
+        let base = SimConfig::baseline()
             .federated(FederationConfig::even_split(2, trace.system_size));
-        base.measure_decisions = false;
         let cfg = config_for_knobs(&base, Mechanism::ALL_SIX[mech_idx], &knobs)
             .expect("edge vector must materialise over a federated base");
         let out = Simulator::run_trace(&cfg, &trace);

@@ -45,7 +45,8 @@ fn main() {
     );
     println!(
         "  scheduler decisions   {:>7.1} µs mean ({:.1} µs max)",
-        m.decision_mean_us, m.decision_max_us
+        outcome.decision_latency.mean_us(),
+        outcome.decision_latency.max_us()
     );
 
     // 3. Compare with the plain FCFS/EASY baseline (Table II).

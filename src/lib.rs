@@ -80,8 +80,8 @@ pub mod prelude {
         SubmitError, TunableHooks, VictimOrder,
     };
     pub use hws_metrics::{
-        ClassBreakdown, ClassStats, Metrics, MetricsAvg, Recorder, RewardSpec, ShardStat,
-        ShardTotals, Table,
+        ClassBreakdown, ClassStats, LatencyHistogram, Metrics, MetricsAvg, Recorder, RewardSpec,
+        ShardStat, ShardTotals, Table,
     };
     pub use hws_search::{
         grid_search, tournament_search, Candidate, Leaderboard, SearchConfig, SearchSpace,

@@ -19,18 +19,6 @@ use hws_sim::{SimDuration as D, SimTime as T};
 use hybrid_workload_sched::prelude::*;
 use proptest::prelude::*;
 
-fn quiet_plain(m: Mechanism) -> SimConfig {
-    let mut cfg = SimConfig::with_mechanism(m);
-    cfg.measure_decisions = false;
-    cfg
-}
-
-fn quiet_cap(hooks: CapabilityAware) -> SimConfig {
-    let mut cfg = SimConfig::with_hooks(hooks);
-    cfg.measure_decisions = false;
-    cfg
-}
-
 #[test]
 fn zero_capability_runs_are_bitwise_identical_to_the_plain_path() {
     let tcfg = TraceConfig::small();
@@ -38,9 +26,11 @@ fn zero_capability_runs_are_bitwise_identical_to_the_plain_path() {
         let trace = tcfg.generate(seed);
         assert_eq!(trace.count_class(JobClass::Capability), 0);
         for m in Mechanism::ALL_SIX {
-            let plain = Simulator::run_trace(&quiet_plain(m), &trace);
-            let wrapped =
-                Simulator::run_trace(&quiet_cap(CapabilityAware::for_mechanism(m)), &trace);
+            let plain = Simulator::run_trace(&SimConfig::with_mechanism(m), &trace);
+            let wrapped = Simulator::run_trace(
+                &SimConfig::with_hooks(CapabilityAware::for_mechanism(m)),
+                &trace,
+            );
             assert_eq!(
                 wrapped.metrics,
                 plain.metrics,
@@ -64,9 +54,9 @@ fn zero_capability_parity_holds_with_a_throttle_configured() {
     // even at its most aggressive setting.
     let trace = TraceConfig::tiny().generate(3);
     for m in [Mechanism::N_PAA, Mechanism::CUP_SPAA] {
-        let plain = Simulator::run_trace(&quiet_plain(m), &trace);
+        let plain = Simulator::run_trace(&SimConfig::with_mechanism(m), &trace);
         let throttled = Simulator::run_trace(
-            &quiet_cap(CapabilityAware::for_mechanism(m).with_max_running(0)),
+            &SimConfig::with_hooks(CapabilityAware::for_mechanism(m).with_max_running(0)),
             &trace,
         );
         assert_eq!(throttled.metrics, plain.metrics, "{}", m.name());
@@ -104,7 +94,7 @@ fn victim_scenario() -> Trace {
 fn capability_jobs_are_never_preemption_victims_under_the_default_policy() {
     let trace = victim_scenario();
     let out = Simulator::run_trace(
-        &quiet_cap(CapabilityAware::for_mechanism(Mechanism::N_PAA)),
+        &SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::N_PAA)),
         &trace,
     );
     let classes = out.classes.expect("capability jobs present");
@@ -126,7 +116,9 @@ fn disabling_the_shield_restores_the_paper_victim_ordering() {
     // protected it above.
     let trace = victim_scenario();
     let out = Simulator::run_trace(
-        &quiet_cap(CapabilityAware::for_mechanism(Mechanism::N_PAA).allow_capability_victims()),
+        &SimConfig::with_hooks(
+            CapabilityAware::for_mechanism(Mechanism::N_PAA).allow_capability_victims(),
+        ),
         &trace,
     );
     let classes = out.classes.expect("capability jobs present");
@@ -160,7 +152,7 @@ fn capability_jobs_are_shielded_from_cup_planned_preemptions_too() {
     ];
     let trace = Trace::new(100, D::from_days(2), jobs);
     let out = Simulator::run_trace(
-        &quiet_cap(CapabilityAware::for_mechanism(Mechanism::CUP_PAA)),
+        &SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUP_PAA)),
         &trace,
     );
     let classes = out.classes.expect("capability jobs present");
@@ -192,12 +184,14 @@ fn admission_throttle_serializes_capability_campaigns() {
     let trace = Trace::new(100, D::from_days(1), jobs);
 
     let free = Simulator::run_trace(
-        &quiet_cap(CapabilityAware::for_mechanism(Mechanism::CUA_SPAA)),
+        &SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUA_SPAA)),
         &trace,
     );
     assert_eq!(free.metrics.completed_jobs, 2);
     let serial = Simulator::run_trace(
-        &quiet_cap(CapabilityAware::for_mechanism(Mechanism::CUA_SPAA).with_max_running(1)),
+        &SimConfig::with_hooks(
+            CapabilityAware::for_mechanism(Mechanism::CUA_SPAA).with_max_running(1),
+        ),
         &trace,
     );
     assert_eq!(serial.metrics.completed_jobs, 2);
@@ -229,7 +223,9 @@ fn zero_throttle_starves_capability_work_but_not_capacity_work() {
     ];
     let trace = Trace::new(100, D::from_days(1), jobs);
     let out = Simulator::run_trace(
-        &quiet_cap(CapabilityAware::for_mechanism(Mechanism::CUA_SPAA).with_max_running(0)),
+        &SimConfig::with_hooks(
+            CapabilityAware::for_mechanism(Mechanism::CUA_SPAA).with_max_running(0),
+        ),
         &trace,
     );
     let classes = out.classes.expect("capability jobs present");
@@ -313,14 +309,14 @@ proptest! {
         }
         // Paranoid: cross-validates the incremental running-capability
         // counter against a full scan after every event.
-        let cfg = quiet_cap(hooks).paranoid();
+        let cfg = SimConfig::with_hooks(hooks).paranoid();
         let out = Simulator::run_trace(&cfg, &trace);
         let done = out.metrics.completed_jobs + out.metrics.killed_jobs;
 
         if frac == 0.0 {
             // Bitwise parity with the plain two-class path, regardless of
             // the throttle setting.
-            let plain = Simulator::run_trace(&quiet_plain(Mechanism::CUA_SPAA), &trace);
+            let plain = Simulator::run_trace(&SimConfig::with_mechanism(Mechanism::CUA_SPAA), &trace);
             prop_assert_eq!(out.metrics, plain.metrics);
             prop_assert_eq!(out.engine, plain.engine);
             prop_assert_eq!(done, trace.len(), "feasible two-class runs finish everything");

@@ -20,18 +20,6 @@ use hws_sim::{SimDuration as D, SimTime as T};
 use hybrid_workload_sched::prelude::*;
 use proptest::prelude::*;
 
-fn quiet_plain(m: Mechanism) -> SimConfig {
-    let mut cfg = SimConfig::with_mechanism(m);
-    cfg.measure_decisions = false;
-    cfg
-}
-
-fn quiet_cap(hooks: CapabilityAware) -> SimConfig {
-    let mut cfg = SimConfig::with_hooks(hooks);
-    cfg.measure_decisions = false;
-    cfg
-}
-
 /// Run `trace` as an identity-action episode and return the report.
 fn identity_episode(cfg: &SimConfig, trace: &Trace, interval: D) -> EpisodeReport {
     let spec = EnvSpec::new(cfg.clone()).with_interval(interval);
@@ -74,7 +62,7 @@ fn identity_episode_matches_batch_for_all_six_mechanisms_and_baseline() {
         let mut mechs = Mechanism::ALL_SIX.to_vec();
         mechs.push(Mechanism::Baseline);
         for m in mechs {
-            let cfg = quiet_plain(m);
+            let cfg = SimConfig::with_mechanism(m);
             let batch = Simulator::run_trace(&cfg, &trace);
             let report = identity_episode(&cfg, &trace, D::from_hours(6));
             assert!(
@@ -100,7 +88,7 @@ fn identity_episode_matches_batch_with_capability_hooks() {
     let tagged = trace.tag_capability(0.3);
     assert!(tagged > 0, "fixture must carry capability jobs");
     for m in [Mechanism::CUA_PAA, Mechanism::CUP_SPAA] {
-        let cfg = quiet_cap(CapabilityAware::for_mechanism(m));
+        let cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(m));
         let batch = Simulator::run_trace(&cfg, &trace);
         assert!(batch.classes.is_some());
         let report = identity_episode(&cfg, &trace, D::from_hours(4));
@@ -119,7 +107,8 @@ fn identity_episode_matches_batch_with_capability_hooks() {
 fn identity_episode_matches_batch_on_a_two_shard_federation() {
     let trace = TraceConfig::tiny().generate(5);
     for m in [Mechanism::N_SPAA, Mechanism::CUA_SPAA] {
-        let cfg = quiet_plain(m).federated(FederationConfig::even_split(2, trace.system_size));
+        let cfg = SimConfig::with_mechanism(m)
+            .federated(FederationConfig::even_split(2, trace.system_size));
         let batch = Simulator::run_trace(&cfg, &trace);
         assert_eq!(batch.shards.as_ref().map(Vec::len), Some(2));
         let spec = EnvSpec::new(cfg.clone()).with_interval(D::from_hours(6));
@@ -145,7 +134,7 @@ proptest! {
     ) {
         const INTERVALS_H: [u64; 3] = [1, 5, 23];
         let trace = TraceConfig::tiny().generate(seed);
-        let cfg = quiet_plain(Mechanism::ALL_SIX[mech_idx]);
+        let cfg = SimConfig::with_mechanism(Mechanism::ALL_SIX[mech_idx]);
         let batch = Simulator::run_trace(&cfg, &trace);
         let report = identity_episode(&cfg, &trace, D::from_hours(INTERVALS_H[interval_idx]));
         prop_assert_eq!(&report.outcome.metrics, &batch.metrics);
@@ -157,7 +146,8 @@ proptest! {
 #[test]
 fn observations_are_coherent_and_reproducible() {
     let trace = TraceConfig::tiny().generate(2);
-    let spec = EnvSpec::new(quiet_plain(Mechanism::CUA_SPAA)).with_interval(D::from_hours(2));
+    let spec = EnvSpec::new(SimConfig::with_mechanism(Mechanism::CUA_SPAA))
+        .with_interval(D::from_hours(2));
     let mut env = Environment::new(spec, &trace).expect("open");
     let first = env.observe();
     assert_eq!(first.now, T::ZERO);
@@ -196,7 +186,7 @@ fn throttle_action_actually_steers_the_simulation() {
     // with capability jobs.
     let mut trace = TraceConfig::tiny().generate(9);
     assert!(trace.tag_capability(0.4) > 0);
-    let cfg = quiet_cap(CapabilityAware::for_mechanism(Mechanism::CUA_SPAA));
+    let cfg = SimConfig::with_hooks(CapabilityAware::for_mechanism(Mechanism::CUA_SPAA));
 
     let held = identity_episode(&cfg, &trace, D::from_hours(4));
     let spec = EnvSpec::new(cfg.clone()).with_interval(D::from_hours(4));
@@ -234,7 +224,7 @@ fn initial_knob_point_matches_the_materialised_search_candidate() {
         ckpt_mult: 2.0,
         placement: None,
     };
-    let base = quiet_plain(Mechanism::CUP_PAA);
+    let base = SimConfig::with_mechanism(Mechanism::CUP_PAA);
     let candidate = config_for_knobs(&base, Mechanism::CUP_PAA, &knobs).expect("candidate");
     let batch = Simulator::run_trace(&candidate, &trace);
 
@@ -253,7 +243,8 @@ fn mid_episode_rejection_arms_each_error_cleanly() {
     let trace = TraceConfig::tiny().generate(0);
     let open = || {
         Environment::new(
-            EnvSpec::new(quiet_plain(Mechanism::N_PAA)).with_interval(D::from_hours(1)),
+            EnvSpec::new(SimConfig::with_mechanism(Mechanism::N_PAA))
+                .with_interval(D::from_hours(1)),
             &trace,
         )
         .expect("open")
@@ -303,28 +294,30 @@ fn malformed_specs_are_rejected_at_open() {
     let trace = TraceConfig::tiny().generate(0);
 
     let err = Environment::new(
-        EnvSpec::new(quiet_plain(Mechanism::N_PAA)).with_interval(D::ZERO),
+        EnvSpec::new(SimConfig::with_mechanism(Mechanism::N_PAA)).with_interval(D::ZERO),
         &trace,
     )
     .err()
     .unwrap();
     assert!(err.contains("interval"), "{err}");
 
-    let fed_cfg =
-        quiet_plain(Mechanism::N_PAA).federated(FederationConfig::even_split(2, trace.system_size));
+    let fed_cfg = SimConfig::with_mechanism(Mechanism::N_PAA)
+        .federated(FederationConfig::even_split(2, trace.system_size));
     let err = Environment::new(EnvSpec::new(fed_cfg), &trace)
         .err()
         .unwrap();
     assert!(err.contains("federated"), "{err}");
 
-    let err =
-        Environment::<Federation>::federated(EnvSpec::new(quiet_plain(Mechanism::N_PAA)), &trace)
-            .err()
-            .unwrap();
+    let err = Environment::<Federation>::federated(
+        EnvSpec::new(SimConfig::with_mechanism(Mechanism::N_PAA)),
+        &trace,
+    )
+    .err()
+    .unwrap();
     assert!(err.contains("federation"), "{err}");
 
     let err = Environment::new(
-        EnvSpec::new(quiet_plain(Mechanism::N_PAA)).with_knobs(KnobVector {
+        EnvSpec::new(SimConfig::with_mechanism(Mechanism::N_PAA)).with_knobs(KnobVector {
             ckpt_mult: 0.0,
             ..KnobVector::identity()
         }),

@@ -73,7 +73,6 @@ fn checkpoints_bound_failure_losses() {
 fn failure_streams_are_deterministic() {
     let trace = TraceConfig::tiny().generate(3);
     let mut cfg = failing_cfg(3_000.0);
-    cfg.measure_decisions = false;
     let a = Simulator::run_trace(&cfg, &trace).metrics;
     let b = Simulator::run_trace(&cfg, &trace).metrics;
     assert_eq!(a, b);

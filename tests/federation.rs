@@ -15,21 +15,15 @@ use hws_sim::{SimDuration as D, SimTime as T};
 use hybrid_workload_sched::prelude::*;
 use proptest::prelude::*;
 
-fn quiet(mechanism: Mechanism) -> SimConfig {
-    let mut cfg = SimConfig::with_mechanism(mechanism);
-    // Wall-clock decision latency is the one non-simulated metric.
-    cfg.measure_decisions = false;
-    cfg
-}
-
 #[test]
 fn one_shard_federation_is_bitwise_identical_to_single_cluster() {
     let tcfg = TraceConfig::small();
     for seed in [0u64, 7] {
         let trace = tcfg.generate(seed);
         for m in Mechanism::ALL_SIX {
-            let plain = Simulator::run_trace(&quiet(m), &trace);
-            let fed_cfg = quiet(m).federated(FederationConfig::even_split(1, trace.system_size));
+            let plain = Simulator::run_trace(&SimConfig::with_mechanism(m), &trace);
+            let fed_cfg = SimConfig::with_mechanism(m)
+                .federated(FederationConfig::even_split(1, trace.system_size));
             let fed = Simulator::run_trace(&fed_cfg, &trace);
             assert_eq!(
                 fed.metrics,
@@ -56,8 +50,8 @@ fn one_shard_federation_matches_on_the_swf_replay_baseline_shape() {
     // checks (shard conservation, home consistency) must also hold.
     let trace = TraceConfig::tiny().generate(3);
     let m = Mechanism::CUP_SPAA;
-    let plain = Simulator::run_trace(&quiet(m), &trace);
-    let fed_cfg = quiet(m)
+    let plain = Simulator::run_trace(&SimConfig::with_mechanism(m), &trace);
+    let fed_cfg = SimConfig::with_mechanism(m)
         .federated(FederationConfig::even_split(1, trace.system_size))
         .paranoid();
     let fed = Simulator::run_trace(&fed_cfg, &trace);
@@ -75,7 +69,9 @@ fn class_affinity_and_least_loaded_runs_complete_and_conserve_shards() {
         FederationConfig::even_split(shards, trace.system_size).with_policy(LeastLoaded),
         FederationConfig::even_split(shards, trace.system_size).with_policy(ClassAffinity),
     ] {
-        let cfg = quiet(Mechanism::CUA_SPAA).federated(fed).paranoid();
+        let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA)
+            .federated(fed)
+            .paranoid();
         let out = Simulator::run_trace(&cfg, &trace);
         let report = out.shards.expect("federated run");
         assert_eq!(report.len(), shards);
@@ -106,12 +102,13 @@ fn oversized_jobs_are_rejected_at_submit_not_starved() {
             .build(),
     ];
     let trace = Trace::new(64, D::from_days(1), jobs);
-    let cfg = quiet(Mechanism::CUA_SPAA).federated(FederationConfig::even_split(2, 64));
+    let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA)
+        .federated(FederationConfig::even_split(2, 64));
     let out = Simulator::run_trace(&cfg, &trace);
     assert_eq!(out.metrics.killed_jobs, 1);
     assert_eq!(out.metrics.completed_jobs, 1);
     // On the single cluster the same job fits and everything completes.
-    let plain = Simulator::run_trace(&quiet(Mechanism::CUA_SPAA), &trace);
+    let plain = Simulator::run_trace(&SimConfig::with_mechanism(Mechanism::CUA_SPAA), &trace);
     assert_eq!(plain.metrics.killed_jobs, 0);
     assert_eq!(plain.metrics.completed_jobs, 2);
 }
@@ -208,12 +205,12 @@ proptest! {
         let trace = build_trace(&jobs, SYSTEM);
         prop_assert!(trace.validate().is_ok());
         for m in [Mechanism::N_PAA, Mechanism::CUA_SPAA, Mechanism::CUP_PAA] {
-            let single = Simulator::run_trace(&quiet(m), &trace);
+            let single = Simulator::run_trace(&SimConfig::with_mechanism(m), &trace);
             let (s_done, s_killed, n) = outcome_sets(&single.metrics, trace.len());
             prop_assert_eq!(s_done + s_killed, n, "single run left jobs unfinished");
             prop_assert_eq!(s_killed, 0, "honest estimates: nothing may be killed");
 
-            let fed_cfg = quiet(m)
+            let fed_cfg = SimConfig::with_mechanism(m)
                 .federated(FederationConfig::even_split(n_shards, SYSTEM))
                 .paranoid();
             let fed = Simulator::run_trace(&fed_cfg, &trace);
