@@ -8,7 +8,9 @@
 //! * preemption ratio (rigid and malleable).
 //!
 //! `-- --check` additionally evaluates the paper's Observations 1–12
-//! against the measured grid and prints a pass/fail line per observation.
+//! against the measured grid, prints a pass/fail line per observation,
+//! and exits with status 1 when an observation required at the current
+//! scale fails (see [`exempt_at`]).
 
 use hws_bench::{run_fig6_grid, seeds_from_env, Scale, TraceSource};
 use hws_core::{Mechanism, SimConfig};
@@ -106,9 +108,36 @@ fn main() {
         latency.max_us(),
     );
 
-    if check {
-        run_observation_checks(&baseline, &rows, &latency);
+    if check && !run_observation_checks(scale, &baseline, &rows, &latency) {
+        std::process::exit(1);
     }
+}
+
+/// Observations allowed to fail at `scale`; every other one must hold.
+///
+/// * Obs 9 (> 90 % instant start in *every* cell) and Obs 11 (CUP
+///   utilization on W2 vs W1, a gap within seed-to-seed noise) fail from
+///   scale noise on short traces with few seeds: at quick scale with 2
+///   seeds, and Obs 11 also at standard scale with 2 seeds. Both hold
+///   with 10 seeds.
+/// * Obs 12 (CUA turnaround lowest on W4) holds at quick scale but does
+///   not reproduce on the longer traces: at standard scale W4 has the
+///   highest CUA turnaround of the five workloads, with 2 and with 10
+///   seeds, and at full scale with 2 seeds it misses the 0.5 h band.
+fn exempt_at(scale: Scale) -> &'static [&'static str] {
+    match scale {
+        Scale::Quick => &["Obs 9", "Obs 11"],
+        Scale::Standard => &["Obs 11", "Obs 12"],
+        Scale::Full => &["Obs 12"],
+    }
+}
+
+/// The `--check` verdict: true when every failed observation is exempt.
+/// An observation's id is its name up to the first `:`.
+fn checks_pass(results: &[(&str, bool)], exempt: &[&str]) -> bool {
+    results
+        .iter()
+        .all(|(name, ok)| *ok || exempt.contains(&name.split(':').next().unwrap_or(name)))
 }
 
 type Row = (&'static str, Mechanism, Metrics);
@@ -126,18 +155,20 @@ fn mech_avg(rows: &[Row], mech: Mechanism, f: fn(&Metrics) -> f64) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-/// Evaluate the qualitative claims of §V-A/§V-B against the measured grid.
-fn run_observation_checks(baseline: &Metrics, rows: &[Row], latency: &LatencyHistogram) {
+/// Evaluate the qualitative claims of §V-A/§V-B against the measured
+/// grid; returns the [`checks_pass`] verdict at `scale`.
+fn run_observation_checks(
+    scale: Scale,
+    baseline: &Metrics,
+    rows: &[Row],
+    latency: &LatencyHistogram,
+) -> bool {
     use Mechanism as M;
     println!("\nOBSERVATION CHECKS (paper §V)");
-    let mut pass = 0;
-    let mut total = 0;
-    let mut check = |name: &str, ok: bool| {
-        total += 1;
-        if ok {
-            pass += 1;
-        }
+    let mut results: Vec<(&str, bool)> = Vec::new();
+    let mut check = |name: &'static str, ok: bool| {
         println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
+        results.push((name, ok));
     };
 
     let instant = |m: &Metrics| m.instant_start_rate;
@@ -280,5 +311,48 @@ fn run_observation_checks(baseline: &Metrics, rows: &[Row], latency: &LatencyHis
         w4 <= others + 0.5,
     );
 
-    println!("observations: {pass}/{total} PASS");
+    let pass = results.iter().filter(|(_, ok)| *ok).count();
+    let exempt = exempt_at(scale);
+    let verdict = checks_pass(&results, exempt);
+    println!(
+        "observations: {pass}/{} PASS; {} (exempt at {scale:?} scale: {})",
+        results.len(),
+        if verdict { "OK" } else { "FAILED" },
+        exempt.join(", "),
+    );
+    verdict
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_required_observation_fails_the_check() {
+        let results = [("Obs 1a: lifted", true), ("Obs 10: fast", false)];
+        for scale in [Scale::Quick, Scale::Standard, Scale::Full] {
+            assert!(!checks_pass(&results, exempt_at(scale)));
+        }
+    }
+
+    #[test]
+    fn only_exempt_failures_pass_the_check() {
+        let results = [
+            ("Obs 1a: lifted", true),
+            ("Obs 9: instant", false),
+            ("Obs 11: W2 >= W1", false),
+        ];
+        assert!(checks_pass(&results, exempt_at(Scale::Quick)));
+        assert!(!checks_pass(&results, exempt_at(Scale::Full)));
+        // An id matches whole, not by prefix: Obs 1 exempts no Obs 1a.
+        assert!(!checks_pass(&[("Obs 1a: lifted", false)], &["Obs 1"]));
+    }
+
+    #[test]
+    fn all_passing_observations_pass_at_every_scale() {
+        let results = [("Obs 9: instant", true), ("Obs 11: W2 >= W1", true)];
+        for scale in [Scale::Quick, Scale::Standard, Scale::Full] {
+            assert!(checks_pass(&results, exempt_at(scale)));
+        }
+    }
 }

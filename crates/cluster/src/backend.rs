@@ -277,7 +277,10 @@ pub trait ClusterBackend: std::fmt::Debug + Send {
     /// distinguish shards (single cluster — a no-op).
     fn prepare_arrival(&mut self, od: JobId) -> Option<usize>;
 
-    /// Full-scan consistency check (used by `paranoid_checks`).
+    /// Full-scan consistency check, linear in nodes plus node-list
+    /// entries (each shard's, for a federation). Runs after every event
+    /// under `paranoid_checks` and on every snapshot restore, where it
+    /// costs about 20 µs for 4,392 nodes.
     fn check_invariants(&self) -> Result<(), String>;
 }
 

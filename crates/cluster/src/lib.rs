@@ -858,39 +858,23 @@ impl Cluster {
     // Invariants
     // ------------------------------------------------------------------
 
-    /// Full-scan consistency check; O(nodes + jobs). Used by tests and the
-    /// simulator's debug assertions, and by `paranoid_checks` mode to
-    /// cross-validate the incremental `(plain, squatted)` counters, the
-    /// squatter index, and the reserved-idle total against the authoritative
-    /// per-node states.
+    /// Full-scan consistency check in O(nodes + Σ list length): one pass
+    /// over the node states, one walk over every allocation and
+    /// idle-reservation list. Used by tests, by `paranoid_checks` mode
+    /// after every event, and by [`Cluster::decode_snap`] on every
+    /// restore. It cross-validates the node lists, the incremental
+    /// `(plain, squatted)` counters, the squatter index, and the
+    /// reserved-idle total against the authoritative per-node states.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut busy = 0u32;
         let mut reserved = 0u32;
         let mut down = 0u32;
-        for (i, st) in self.nodes.iter().enumerate() {
+        for st in &self.nodes {
             match st {
                 NodeState::Free => {}
                 NodeState::Down => down += 1,
-                NodeState::Busy { job } | NodeState::ReservedBusy { job, .. } => {
-                    busy += 1;
-                    let nodes = self
-                        .alloc
-                        .get(job)
-                        .ok_or_else(|| format!("node {i} busy for unallocated {job}"))?;
-                    if !nodes.contains(&NodeId(i as u32)) {
-                        return Err(format!("node {i} not in {job}'s allocation list"));
-                    }
-                }
-                NodeState::Reserved { holder } => {
-                    reserved += 1;
-                    let idle = self
-                        .reserved_idle
-                        .get(holder)
-                        .ok_or_else(|| format!("node {i} reserved for untracked {holder}"))?;
-                    if !idle.contains(&NodeId(i as u32)) {
-                        return Err(format!("node {i} missing from {holder}'s idle list"));
-                    }
-                }
+                NodeState::Busy { .. } | NodeState::ReservedBusy { .. } => busy += 1,
+                NodeState::Reserved { .. } => reserved += 1,
             }
         }
         let free = self.free_list.len() as u32;
@@ -917,23 +901,48 @@ impl Cluster {
                 Some(_) => {}
             }
         }
-        let alloc_total: usize = self.alloc.values().map(|v| v.len()).sum();
-        if alloc_total as u32 != busy {
-            return Err(format!(
-                "alloc index ({alloc_total}) != busy nodes ({busy})"
-            ));
-        }
         for id in &self.free_list {
             if self.nodes[id.index()] != NodeState::Free {
                 return Err(format!("free-list node {id} not Free"));
             }
         }
-        for (h, idle) in &self.reserved_idle {
-            for id in idle {
-                if self.nodes[id.index()] != (NodeState::Reserved { holder: *h }) {
+        // Every listed node is in its owner's state and listed once, so
+        // when the lists hold as many nodes as the scan counted busy
+        // (reserved), every busy (reserved) node sits in its owner's list.
+        let mut listed = vec![false; self.nodes.len()];
+        let mut claim = |id: NodeId| match std::mem::replace(&mut listed[id.index()], true) {
+            true => Err(format!("node {id} listed twice")),
+            false => Ok(()),
+        };
+        let mut alloc_total = 0u32;
+        for (&job, nodes) in &self.alloc {
+            for &id in nodes {
+                match self.nodes.get(id.index()) {
+                    Some(NodeState::Busy { job: j } | NodeState::ReservedBusy { job: j, .. })
+                        if *j == job => {}
+                    st => return Err(format!("{job}'s allocation lists node {id}, state {st:?}")),
+                }
+                claim(id)?;
+            }
+            alloc_total += nodes.len() as u32;
+        }
+        let mut idle_total = 0u32;
+        for (&h, idle) in &self.reserved_idle {
+            for &id in idle {
+                if self.nodes.get(id.index()) != Some(&NodeState::Reserved { holder: h }) {
                     return Err(format!("idle-reserved node {id} not Reserved for {h}"));
                 }
+                claim(id)?;
             }
+            idle_total += idle.len() as u32;
+        }
+        if alloc_total != busy || idle_total != reserved {
+            return Err(self.unlisted(&listed).unwrap_or_else(|| {
+                format!(
+                    "lists hold {alloc_total} busy + {idle_total} reserved nodes, \
+                     scanned {busy} + {reserved}"
+                )
+            }));
         }
         // Incremental accounting vs. full scan.
         if self.reserved_idle_total != reserved {
@@ -975,6 +984,21 @@ impl Cluster {
             ));
         }
         Ok(())
+    }
+
+    /// Error path of [`Cluster::check_invariants`]: name the first busy
+    /// or reserved node that no list in `listed` claims.
+    fn unlisted(&self, listed: &[bool]) -> Option<String> {
+        self.nodes.iter().enumerate().find_map(|(i, st)| match st {
+            _ if listed[i] => None,
+            NodeState::Busy { job } | NodeState::ReservedBusy { job, .. } => {
+                Some(format!("node {i} not in {job}'s allocation list"))
+            }
+            NodeState::Reserved { holder } => {
+                Some(format!("node {i} missing from {holder}'s idle list"))
+            }
+            NodeState::Free | NodeState::Down => None,
+        })
     }
 }
 
@@ -1176,5 +1200,68 @@ mod tests {
         let out = c.release(j(42));
         assert_eq!(out, ReleaseOutcome::default());
         checked(&c);
+    }
+
+    /// Two running jobs and two idle reservations of two nodes each, with
+    /// `corrupt` applied to the private state. Every corruption below
+    /// keeps conservation, the counters and the split totals intact, so
+    /// only the list-membership checks can reject it.
+    fn corrupted(corrupt: impl FnOnce(&mut Cluster)) -> Result<(), String> {
+        let mut c = Cluster::new(10);
+        c.allocate(j(1), 2).expect("fits");
+        c.allocate(j(2), 2).expect("fits");
+        c.reserve(j(8), 2);
+        c.reserve(j(9), 2);
+        checked(&c);
+        corrupt(&mut c);
+        c.check_invariants()
+    }
+
+    #[test]
+    fn busy_node_missing_from_its_jobs_list_is_rejected() {
+        let r = corrupted(|c| {
+            c.alloc.get_mut(&j(1)).unwrap().pop();
+            c.splits.get_mut(&j(1)).unwrap().plain -= 1;
+        });
+        assert!(r.is_err(), "{r:?}");
+    }
+
+    #[test]
+    fn node_listed_twice_in_one_list_is_rejected() {
+        let r = corrupted(|c| {
+            let list = c.alloc.get_mut(&j(1)).unwrap();
+            list[1] = list[0];
+        });
+        assert!(r.is_err(), "{r:?}");
+    }
+
+    #[test]
+    fn list_entry_busy_for_another_job_is_rejected() {
+        let r = corrupted(|c| {
+            let a = c.alloc[&j(1)][1];
+            let b = c.alloc[&j(2)][1];
+            c.alloc.get_mut(&j(1)).unwrap()[1] = b;
+            c.alloc.get_mut(&j(2)).unwrap()[1] = a;
+        });
+        assert!(r.is_err(), "{r:?}");
+    }
+
+    #[test]
+    fn reserved_node_missing_from_its_holders_list_is_rejected() {
+        let r = corrupted(|c| {
+            c.reserved_idle.get_mut(&j(8)).unwrap().pop();
+        });
+        assert!(r.is_err(), "{r:?}");
+    }
+
+    #[test]
+    fn idle_reserved_entry_in_the_wrong_state_is_rejected() {
+        let r = corrupted(|c| {
+            let a = c.reserved_idle[&j(8)][1];
+            let b = c.reserved_idle[&j(9)][1];
+            c.reserved_idle.get_mut(&j(8)).unwrap()[1] = b;
+            c.reserved_idle.get_mut(&j(9)).unwrap()[1] = a;
+        });
+        assert!(r.is_err(), "{r:?}");
     }
 }

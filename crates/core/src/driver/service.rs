@@ -33,7 +33,7 @@
 
 use super::core::SimCore;
 use super::events::Ev;
-use super::snapshot::{restore_engine, snapshot_engine};
+use super::snapshot::{get_id_set, put_id_set, restore_engine, snapshot_engine};
 use super::SimOutcome;
 use crate::config::{Mechanism, SimConfig};
 use crate::jobstate::Status;
@@ -533,14 +533,8 @@ where
         for spec in self.buffer.values() {
             spec.encode_snap(&mut w);
         }
-        w.put_len(self.cancelled.len());
-        for id in &self.cancelled {
-            w.put_u64(id.0);
-        }
-        w.put_len(self.seen.len());
-        for id in &self.seen {
-            w.put_u64(id.0);
-        }
+        put_id_set(&mut w, &self.cancelled);
+        put_id_set(&mut w, &self.seen);
         w.into_bytes()
     }
 
@@ -753,21 +747,6 @@ where
     pub fn live_nodes(&self) -> u32 {
         self.engine.sim.cluster.live_nodes()
     }
-}
-
-fn get_id_set(r: &mut SnapReader<'_>) -> Result<BTreeSet<JobId>, SnapError> {
-    let n = r.get_len()?;
-    let mut set = BTreeSet::new();
-    let mut prev: Option<u64> = None;
-    for _ in 0..n {
-        let id = r.get_u64()?;
-        if prev.is_some_and(|p| p >= id) {
-            return Err(r.err(format!("id set not strictly ascending at {id}")));
-        }
-        prev = Some(id);
-        set.insert(JobId(id));
-    }
-    Ok(set)
 }
 
 /// Replay a full [`SubmissionLog`] through a fresh [`SchedulerService`]

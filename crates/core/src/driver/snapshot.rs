@@ -28,6 +28,8 @@ use super::core::{Scratch, SimCore};
 use super::events::Ev;
 use super::hooks::hooks_for;
 use crate::config::SimConfig;
+use crate::jobstate::{JobState, Status};
+use crate::jobtable::JobTable;
 use crate::timeline::{Timeline, TimelineEvent};
 use hws_cluster::{LeaseLedger, SnapshotBackend};
 use hws_metrics::{LatencyHistogram, Recorder};
@@ -314,26 +316,46 @@ pub(super) fn snapshot_engine<B: SnapshotBackend>(engine: &Engine<SimCore<B>>) -
     w.into_bytes()
 }
 
-fn put_id_set(w: &mut SnapWriter, set: &BTreeSet<JobId>) {
+/// Write a job-id set as its length then its ids in ascending order. The
+/// one id-set codec of the engine and service images.
+pub(super) fn put_id_set(w: &mut SnapWriter, set: &BTreeSet<JobId>) {
     w.put_len(set.len());
     for j in set {
         w.put_u64(j.0);
     }
 }
 
-fn get_id_set(r: &mut SnapReader<'_>) -> Result<BTreeSet<JobId>, SnapError> {
+/// Read a set written by [`put_id_set`]. The ids must be strictly
+/// ascending; the set is then built in one bulk load from the sorted ids.
+pub(super) fn get_id_set(r: &mut SnapReader<'_>) -> Result<BTreeSet<JobId>, SnapError> {
     let n = r.get_len()?;
-    let mut set = BTreeSet::new();
-    let mut prev: Option<u64> = None;
+    let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = r.get_u64()?;
-        if prev.is_some_and(|p| p >= id) {
+        let id = JobId(r.get_u64()?);
+        if ids.last().is_some_and(|&prev| prev >= id) {
             return Err(r.err(format!("id set not strictly ascending at {id}")));
         }
-        prev = Some(id);
-        set.insert(JobId(id));
+        ids.push(id);
     }
-    Ok(set)
+    Ok(ids.into_iter().collect())
+}
+
+/// Cross-check the backend's node owners against the job table: a job
+/// holds nodes exactly when it is live and `Running` or `Draining`.
+fn check_node_owners<B: SnapshotBackend>(table: &JobTable, cluster: &B) -> Result<(), String> {
+    let holds_nodes = |st: &JobState| matches!(st.status, Status::Running | Status::Draining);
+    let mut err = None;
+    cluster.for_each_running(&mut |j| {
+        if err.is_none() && !table.get_state(j).is_some_and(holds_nodes) {
+            err = Some(format!("{j} holds nodes but is not a live running job"));
+        }
+    });
+    table.for_each_live(|spec, st| {
+        if err.is_none() && holds_nodes(st) && !cluster.is_running(spec.id) {
+            err = Some(format!("{} is {:?} but holds no nodes", spec.id, st.status));
+        }
+    });
+    err.map_or(Ok(()), Err)
 }
 
 /// Rebuild a paused engine from bytes written by [`snapshot_engine`].
@@ -379,8 +401,9 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
     let queue_pos = r.pos();
     let equeue = EventQueue::from_snapshot(qs).map_err(|e| SnapError::new(queue_pos, e))?;
 
-    let table = crate::jobtable::JobTable::decode_snap(&mut r)?;
+    let table = JobTable::decode_snap(&mut r)?;
     let cluster = B::restore(&mut r, ctx)?;
+    check_node_owners(&table, &cluster).map_err(|e| r.err(e))?;
 
     let wait_pos = r.pos();
     let n_queue = r.get_len()?;
@@ -553,7 +576,7 @@ pub(super) fn restore_engine<B: SnapshotBackend>(
         if core
             .table
             .get_state(j)
-            .is_none_or(|st| st.status != crate::jobstate::Status::Waiting)
+            .is_none_or(|st| st.status != Status::Waiting)
         {
             return Err(SnapError::new(
                 wait_pos,

@@ -539,6 +539,55 @@ fn snapshot_of_another_version_is_rejected_naming_both_versions() {
 }
 
 #[test]
+fn restore_rejects_nodes_held_by_a_job_the_table_does_not_run() {
+    let tr = TraceConfig::tiny().generate(2);
+    let cfg = SimConfig::with_mechanism(Mechanism::CUA_SPAA);
+    let mut core = SimCore::new(cfg.clone(), tr.system_size);
+    let phantom = hws_workload::JobId(u64::MAX);
+    assert!(core.cluster.allocate(phantom, 1).is_some());
+    // The cluster alone is consistent; only the job table disowns the job.
+    assert_eq!(core.cluster.check_invariants(), Ok(()));
+    let mut svc = SchedulerService::from_core(core, ());
+    for spec in tr.jobs.iter().cloned() {
+        svc.inject(spec);
+    }
+    svc.step_until(t(86_400));
+    let image = svc.snapshot();
+    let err = SchedulerService::<hws_cluster::Cluster>::restore(&image, &cfg, ())
+        .err()
+        .expect("nodes held by a phantom job must not restore")
+        .to_string();
+    assert!(err.contains(&phantom.to_string()), "{err}");
+}
+
+#[test]
+fn id_set_codec_round_trips_and_rejects_unsorted_or_repeated_ids() {
+    use super::snapshot::{get_id_set, put_id_set};
+    use hws_sim::snap::{SnapReader, SnapWriter};
+    use hws_workload::JobId;
+    let decode = |ids: &[u64]| {
+        let mut w = SnapWriter::with_capacity(64);
+        w.put_len(ids.len());
+        for &id in ids {
+            w.put_u64(id);
+        }
+        let bytes = w.into_bytes();
+        get_id_set(&mut SnapReader::new(&bytes)).map_err(|e| e.to_string())
+    };
+    let set: std::collections::BTreeSet<JobId> = [1, 5, 9].map(JobId).into();
+    let mut w = SnapWriter::with_capacity(64);
+    put_id_set(&mut w, &set);
+    let bytes = w.into_bytes();
+    let mut r = SnapReader::new(&bytes);
+    assert_eq!(get_id_set(&mut r), Ok(set));
+    assert!(r.expect_end().is_ok());
+    for bad in [&[1, 5, 3][..], &[2, 4, 4]] {
+        let err = decode(bad).expect_err("an unsorted or repeated id must not decode");
+        assert!(err.contains("not strictly ascending"), "{bad:?}: {err}");
+    }
+}
+
+#[test]
 fn kill_fires_when_work_exceeds_estimate() {
     let mut spec = JobSpecBuilder::rigid(0).size(10).work(d(5_000)).build();
     spec.estimate = d(1_000); // bypass builder guard: user underestimated
